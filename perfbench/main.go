@@ -39,7 +39,8 @@ import (
 	"github.com/trap-repro/trap/internal/obs"
 )
 
-// setupSamples is how many times a run sets up, so setup_s is a median.
+// setupSamples is how many times a run sets up before its timed part;
+// every round adds one more sample, and setup_s is their median.
 const setupSamples = 3
 
 // exactRepeat lists the per-layer counts that must repeat exactly between
@@ -144,6 +145,11 @@ func run(o options) error {
 		fmt.Println()
 	}
 	v := out.verdict
+	fmt.Printf("set-up samples (s):")
+	for _, x := range out.setup {
+		fmt.Printf(" %.3f", x)
+	}
+	fmt.Println()
 	fmt.Printf("workload %s seed %d: %d rounds, %d ops, output digest %s\n",
 		o.workload, o.seed, len(out.rounds), out.ops, v.digest)
 	for _, n := range v.notes {
@@ -347,15 +353,27 @@ func runTrapd(o options) (*outcome, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(base)
-	var td *trapd
-	for i := 0; i < setupSamples; i++ {
-		sp := tr.begin(int64(-1-i), 0, -1, "suite")
+	// setUp times one NewServer. Only the last of the first setupSamples
+	// servers is kept and serves the whole run; after every round one more
+	// is built and closed while the kept one is idle, so the set-up
+	// samples span the run, as they do offline, and setup_s does not depend
+	// on a few seconds at its start.
+	setUp := func(t *tracer, id int64, round int) (*trapd, error) {
+		sp := t.begin(id, 0, round, "suite")
 		t0 := time.Now()
-		t, err := newTrapd(base, dataSeed)
+		td, err := newTrapd(base, dataSeed)
 		out.setup = append(out.setup, time.Since(t0).Seconds())
-		tr.end(sp)
+		t.end(sp)
 		if err != nil {
 			return nil, fmt.Errorf("starting trapd: %w", err)
+		}
+		return td, nil
+	}
+	var td *trapd
+	for i := 0; i < setupSamples; i++ {
+		t, err := setUp(tr, int64(-1-i), -1)
+		if err != nil {
+			return nil, err
 		}
 		if i < setupSamples-1 {
 			if err := t.close(); err != nil {
@@ -374,6 +392,12 @@ func runTrapd(o options) (*outcome, error) {
 		var rr []jobRun
 		st, err := measureRound(e, td.reg, t != nil, func() { rr = td.runRound(clientMixes(o.seed, round), t, round, rs) })
 		t.end(rs)
+		if err == nil {
+			var extra *trapd
+			if extra, err = setUp(t, int64(round)*1_000_000+999_999, round); err == nil {
+				err = extra.close()
+			}
+		}
 		if err != nil {
 			td.close()
 			return nil, err
@@ -409,11 +433,7 @@ func runTrapd(o options) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var golden *jobGolden
-	if g, ok := golds.Jobs[strconv.FormatInt(o.seed, 10)]; ok {
-		golden = &g
-	}
-	out.verdict = checkJobs(golden, runs)
+	out.verdict = checkJobs(golds.Jobs, runs)
 	out.checkRepeats()
 	if tr != nil {
 		out.spans = tr.selfTimes()
@@ -437,18 +457,25 @@ var cpuPackages = []string{"engine", "nn", "core", "advisor", "gbdt", "sqlx", "w
 func (out *outcome) metrics() map[string]metric {
 	m := map[string]metric{}
 	n := len(out.rounds)
+	// The round medians skip the warm-up rounds before out.warmFrom (on
+	// trapd-jobs, the rounds that pretrain and fill the plan cache), so
+	// they do not depend on how many rounds fit in the run.
 	var walls, cpus, allocs, peaks []float64
 	var wallSum float64
-	for _, r := range out.rounds {
+	for i, r := range out.rounds {
+		wallSum += r.wall
+		if i < out.warmFrom {
+			continue
+		}
 		walls, cpus, allocs = append(walls, r.wall), append(cpus, r.cpu), append(allocs, r.allocMB)
 		peaks = append(peaks, r.peakHeapMB)
-		wallSum += r.wall
 	}
+	warm := len(walls)
 	m["setup_s"] = metric{median(out.setup), "s", len(out.setup)}
-	m["wall_s"] = metric{median(walls), "s", n}
-	m["cpu_s"] = metric{median(cpus), "s", n}
-	m["alloc_mb"] = metric{median(allocs), "MB", n}
-	m["peak_heap_mb"] = metric{median(peaks), "MB", n}
+	m["wall_s"] = metric{median(walls), "s", warm}
+	m["cpu_s"] = metric{median(cpus), "s", warm}
+	m["alloc_mb"] = metric{median(allocs), "MB", warm}
+	m["peak_heap_mb"] = metric{median(peaks), "MB", warm}
 	m["ops_per_s"] = metric{ratio(float64(out.ops), wallSum), "1/s", out.ops}
 	m["op_p50_ms"] = metric{quantile(out.opMS, 0.5), "ms", len(out.opMS)}
 	m["op_p90_ms"] = metric{quantile(out.opMS, 0.9), "ms", len(out.opMS)}

@@ -275,12 +275,16 @@ type heapPeak struct {
 
 func startHeapPeak() *heapPeak {
 	h := &heapPeak{stop: make(chan struct{}), done: make(chan struct{})}
+	// The sample is allocated once and read in place, so the sampler
+	// allocates nothing during the round it measures.
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
 	go func() {
 		defer close(h.done)
 		t := time.NewTicker(5 * time.Millisecond)
 		defer t.Stop()
 		for {
-			h.max = math.Max(h.max, readRuntime("/gc/heap/live:bytes")["/gc/heap/live:bytes"])
+			metrics.Read(live)
+			h.max = math.Max(h.max, float64(live[0].Value.Uint64()))
 			select {
 			case <-h.stop:
 				return

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime/pprof"
 	"strconv"
@@ -29,8 +32,29 @@ func mustGoldens(t *testing.T) *goldenSet {
 				t.Fatalf("goldens.json has no %s cells for seed %s", w, seed)
 			}
 		}
-		if len(g.Jobs[seed].Specs) == 0 {
-			t.Fatalf("goldens.json has no trapd-jobs results for seed %s", seed)
+	}
+	// Every recorded trapd state covers the whole mix, and the default
+	// and held-out seeds each settled in one of them.
+	var specs []string
+	for _, s := range clientMixes(42, 0) {
+		for _, j := range s {
+			specs = append(specs, j.key())
+		}
+	}
+	seen := map[string]bool{}
+	for i, st := range g.Jobs {
+		for _, k := range specs {
+			if _, ok := st.Specs[k]; !ok || len(st.Specs) != len(specs) {
+				t.Fatalf("trapd state %d: no result for %s or extra specs", i+1, k)
+			}
+		}
+		for _, seed := range st.Seeds {
+			seen[strconv.FormatInt(seed, 10)] = true
+		}
+	}
+	for _, seed := range goldenSeeds {
+		if !seen[seed] {
+			t.Fatalf("goldens.json has no trapd-jobs state recorded at seed %s", seed)
 		}
 	}
 	return g
@@ -61,14 +85,14 @@ func TestCheckCellsRejectsMutatedGolden(t *testing.T) {
 }
 
 // goldenRuns rebuilds the job runs of a trapd-jobs run at seed in which
-// every job returned its golden result: three passes through the mix.
-func goldenRuns(seed int64, jg jobGolden) []jobRun {
+// every job returned its result in state st: three passes through the mix.
+func goldenRuns(seed int64, st jobState) []jobRun {
 	var runs []jobRun
 	for round := 0; round < 3; round++ {
 		for c, specs := range clientMixes(seed, round) {
 			for i, spec := range specs {
 				runs = append(runs, jobRun{Round: round, Client: c, Index: i, Spec: spec,
-					Status: "done", Result: jg.Specs[spec.key()]})
+					Status: "done", Result: st.Specs[spec.key()]})
 			}
 		}
 	}
@@ -77,46 +101,80 @@ func goldenRuns(seed int64, jg jobGolden) []jobRun {
 
 func TestCheckJobsRejectsMutatedGolden(t *testing.T) {
 	g := mustGoldens(t)
-	for seedText, jg := range g.Jobs {
-		seed, err := strconv.ParseInt(seedText, 10, 64)
-		if err != nil {
-			t.Fatal(err)
+	if len(g.Jobs) < 2 {
+		t.Fatalf("%d recorded trapd states; the mutations below need two", len(g.Jobs))
+	}
+	for i, st := range g.Jobs {
+		runs := goldenRuns(st.Seeds[0], st)
+		if v := checkJobs(g.Jobs, runs); len(v.problems) != 0 || v.failed != 0 {
+			t.Fatalf("state %d: golden jobs: problems %v, failed %d", i+1, v.problems, v.failed)
 		}
-		jg := jg
-		runs := goldenRuns(seed, jg)
-		if v := checkJobs(&jg, runs); len(v.problems) != 0 || v.failed != 0 {
-			t.Fatalf("seed %s: golden jobs: problems %v, failed %d", seedText, v.problems, v.failed)
-		}
-		// A mutated golden result fails every job of its spec (one per
-		// pass) and is reported as a divergence.
-		mutated := jobGolden{Specs: map[string]jobResult{}}
-		for k, r := range jg.Specs {
-			mutated.Specs[k] = r
-		}
+		// A mutated golden result matches no state: the run fails, and
+		// every job of that spec (one per pass) counts as failed.
+		mutated := append([]jobState(nil), g.Jobs...)
+		mutated[i].Specs = maps.Clone(st.Specs)
 		key := runs[0].Spec.key()
-		r := mutated.Specs[key]
+		r := mutated[i].Specs[key]
 		r.IUDR += 1e-12
-		mutated.Specs[key] = r
-		if v := checkJobs(&mutated, runs); v.failed != 3 || len(v.notes) == 0 {
-			t.Errorf("seed %s: mutated golden %s: failed %d, notes %v, want 3 failed jobs", seedText, key, v.failed, v.notes)
+		mutated[i].Specs[key] = r
+		if v := checkJobs(mutated, runs); len(v.problems) == 0 || v.failed != 3 || len(v.notes) == 0 {
+			t.Errorf("state %d: mutated golden %s: problems %v, failed %d, want a problem and 3 failed jobs",
+				i+1, key, v.problems, v.failed)
 		}
-		// A first-pass job off its golden is a counted divergence; a
-		// later job off the rest of the run is a failed check.
+		// So does a change that moves one spec's result on every job,
+		// consistently within the run.
 		mut := append([]jobRun(nil), runs...)
+		for j := range mut {
+			if mut[j].Spec.key() == key {
+				mut[j].Result.Pairs++
+			}
+		}
+		if v := checkJobs(g.Jobs, mut); len(v.problems) == 0 {
+			t.Errorf("state %d: consistently moved %s accepted", i+1, key)
+		}
+		// A first-pass job off its state is a counted divergence; a
+		// later job off the rest of the run is a failed check.
+		mut = append([]jobRun(nil), runs...)
 		mut[0].Result.IUDR += 0.5
-		if v := checkJobs(&jg, mut); len(v.problems) != 0 || v.failed != 1 {
-			t.Errorf("seed %s: first-pass divergence: problems %v, failed %d", seedText, v.problems, v.failed)
+		if v := checkJobs(g.Jobs, mut); len(v.problems) != 0 || v.failed != 1 {
+			t.Errorf("state %d: first-pass divergence: problems %v, failed %d", i+1, v.problems, v.failed)
 		}
 		mut = append([]jobRun(nil), runs...)
 		mut[len(mut)-1].Result.IUDR += 0.5
-		if v := checkJobs(&jg, mut); len(v.problems) == 0 {
-			t.Errorf("seed %s: inconsistent later job accepted", seedText)
+		if v := checkJobs(g.Jobs, mut); len(v.problems) == 0 {
+			t.Errorf("state %d: inconsistent later job accepted", i+1)
 		}
 		mut = append([]jobRun(nil), runs...)
 		mut[len(mut)-1].Status, mut[len(mut)-1].Err = "failed", "boom"
-		if v := checkJobs(&jg, mut); len(v.problems) == 0 {
-			t.Errorf("seed %s: failed job accepted", seedText)
+		if v := checkJobs(g.Jobs, mut); len(v.problems) == 0 {
+			t.Errorf("state %d: failed job accepted", i+1)
 		}
+	}
+}
+
+func TestRecordGoldenMergesStates(t *testing.T) {
+	g := mustGoldens(t)
+	path := filepath.Join(t.TempDir(), "goldens.json")
+	for _, seed := range []int64{5, 6, 5} {
+		if err := recordGolden(path, "trapd-jobs", seed, nil, goldenRuns(seed, g.Jobs[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := recordGolden(path, "trapd-jobs", 8, nil, goldenRuns(8, g.Jobs[1])); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loadGoldens(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Jobs) != 2 || !reflect.DeepEqual(got.Jobs[0].Seeds, []int64{5, 6}) ||
+		!reflect.DeepEqual(got.Jobs[1].Seeds, []int64{8}) ||
+		!reflect.DeepEqual(got.Jobs[0].Specs, g.Jobs[0].Specs) {
+		t.Fatalf("recorded states: %+v", got.Jobs)
 	}
 }
 
