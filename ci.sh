@@ -33,10 +33,6 @@ go test -race -timeout 300s -count=1 ./internal/trace
 # rewrites segments, and the admission controller is hit by every
 # submit: both are lock-heavy by design and must prove it under -race.
 go test -race -timeout 300s -count=1 ./internal/joblog ./internal/admission
-# The cluster bus is the fleet's linearization point — claims, fencing
-# checks and fan-out all contend on one mutex from every node's
-# coordinator; it gets its own loud pass.
-go test -race -timeout 300s -count=1 ./internal/cluster
 # The GEMM kernels carry a bit-identity contract: blocked/fused
 # forward and backward must match the naive k-ascending reference
 # exactly, on odd shapes and across worker counts, with the race
@@ -106,24 +102,22 @@ go test -race -timeout 300s -count=1 \
 echo "== telemetry smoke =="
 # The observability surface end to end: a real TRAP assessment must
 # yield training/attack series over /v1/jobs/{id}/telemetry (JSON and
-# CSV) with monotonic steps and per-epoch SSE telemetry events; a
-# two-node drill must federate node metric snapshots into
-# /v1/cluster/metrics and turn a killed node's row stale; the
+# CSV) with monotonic steps and per-epoch SSE telemetry events; the
 # continuous profiler must capture, serve and prune slow-span profiles;
 # and /version must report the build provenance.
 go test -race -timeout 600s -count=1 \
-    -run 'TestJobTelemetryEndToEnd|TestClusterMetricsFederation|TestProfilerCapturesSlowSpan|TestVersionEndpoint' \
+    -run 'TestJobTelemetryEndToEnd|TestProfilerCapturesSlowSpan|TestVersionEndpoint' \
     ./internal/service
 
-echo "== chaos smoke =="
-# The multi-node failover drill: three in-process fleet nodes share one
-# job namespace, the owner of a running RL-training job is killed
-# mid-training, and a survivor must take over at a higher fencing epoch
-# and finish exactly once, bit-identical to an uninterrupted run. The
-# SSE and fencing drills ride along: stream resume across a takeover,
-# and stale-owner appends rejected after a partition heals.
+echo "== failover smoke =="
+# Standby failover between real processes: a primary trapd child is
+# SIGKILLed mid-training and the standby blocked on the job log's flock
+# must finish the job exactly once, bit-identical, with a gap-free SSE
+# resume; a SIGSTOPped primary must keep the lock. The joblog lock
+# tests and the degraded-log drain ride along.
+go test -race -timeout 300s -count=1 -run 'TestLock' ./internal/joblog
 go test -race -timeout 600s -count=1 \
-    -run 'TestFleetChaosDrillTakeover|TestFleetFencedStaleResult|TestFleetSSEResumeAcrossTakeover|TestJobLogDegradedDraining' \
+    -run 'TestStandbyTakeover|TestStandbySSEResumeAcrossTakeover|TestStandbyWaitsForStoppedPrimary|TestJobLogDegradedDraining|TestServeDropsStalledHeader' \
     ./internal/service
 
 echo "ci: all green"

@@ -11,7 +11,7 @@
 //	      [-request-timeout 30s] [-job-timeout 15m] [-max-body 1048576]
 //	      [-max-retries 2] [-retry-backoff 100ms] [-job-ttl 1h] [-gc-interval 1m]
 //	      [-spool DIR] [-checkpoint-every 1] [-inject SPEC] [-pprof]
-//	      [-joblog DIR] [-node-id NAME] [-lease-ttl 15s] [-heartbeat 5s]
+//	      [-joblog DIR]
 //	      [-tenant-qps N] [-tenant-burst N] [-priority-queue]
 //	      [-log-level info] [-log-format text|json]
 //	      [-trace-recent 64] [-trace-slow 8] [-trace-every 1]
@@ -36,16 +36,19 @@
 //	trapd -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool \
 //	      -tenant-qps 5 -tenant-burst 10 -priority-queue
 //
-// -node-id turns the job log into a shared fleet namespace: nodes
-// register via heartbeat records, claim jobs through lease records
-// carrying a monotonic fencing epoch, and take over the jobs of a node
-// whose lease expires (resuming mid-training from the shared -spool).
-// A paused or partitioned node that wakes after losing its lease is
-// fenced — its stale appends are rejected and its in-flight training
-// cancelled — so every job completes exactly once:
+// A job log has one writer: trapd takes an exclusive flock on it. A
+// second trapd started on the same -joblog and -spool is a standby. It
+// builds its suites, then waits for the lock; when the primary exits or
+// dies (the kernel drops the lock with the process), the standby
+// replays the log, re-enqueues the interrupted jobs and resumes them
+// from their spooled checkpoints. A stopped (SIGSTOP) primary keeps the
+// lock, so the standby never runs beside it. On one host:
 //
-//	trapd -node-id n1 -joblog /shared/joblog -spool /shared/spool \
-//	      -lease-ttl 15s -heartbeat 5s
+//	trapd -addr :8080 -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool &
+//	trapd -addr :8081 -joblog /var/lib/trapd/joblog -spool /var/lib/trapd/spool &
+//
+// The standby serves HTTP only once it has taken over, so a client or
+// load balancer that tries :8081 after :8080 fails follows the writer.
 //
 // -train-workers and -assess-workers bound the RL rollout pool and the
 // per-workload measurement pool inside each job; results are
@@ -93,9 +96,6 @@ func main() {
 	spool := flag.String("spool", "", "checkpoint spool directory (empty disables checkpoint/resume)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "RL epochs between training checkpoints")
 	joblogDir := flag.String("joblog", "", "durable job-log directory (empty disables job durability)")
-	nodeID := flag.String("node-id", "", "fleet node name: joins the cluster sharing -joblog as one job namespace (empty = single-node)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease time-to-live before a peer may take over (cluster mode)")
-	heartbeat := flag.Duration("heartbeat", 0, "node heartbeat/renewal interval (default: lease-ttl/3; cluster mode)")
 	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant job submission rate (0 disables quotas)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant submission burst (default: ceil of -tenant-qps)")
 	priorityQueue := flag.Bool("priority-queue", false, "honor the X-Trap-Priority header (interactive before batch)")
@@ -110,7 +110,6 @@ func main() {
 	profileThreshold := flag.Duration("profile-threshold", 0, "span duration that triggers a profile capture (default 1s)")
 	profileKeep := flag.Int("profile-keep", 0, "profile captures retained before the oldest is pruned (default 8)")
 	profileCPUWindow := flag.Duration("profile-cpu-window", 0, "CPU-profile window captured after a slow span (default 1s)")
-	metricsInterval := flag.Duration("metrics-interval", 0, "fleet metrics publish interval (cluster mode; default 5s)")
 	flag.Parse()
 
 	level, err := olog.ParseLevel(*logLevel)
@@ -154,39 +153,35 @@ func main() {
 	}
 
 	srv, err := service.NewServer(service.Config{
-		Addr:              *addr,
-		Datasets:          names,
-		Params:            p,
-		Seed:              *seed,
-		Workers:           *workers,
-		CostWorkers:       *costWorkers,
-		TrainWorkers:      *trainWorkers,
-		AssessWorkers:     *assessWorkers,
-		QueueDepth:        *queue,
-		RequestTimeout:    *reqTimeout,
-		JobTimeout:        *jobTimeout,
-		MaxBodyBytes:      *maxBody,
-		MaxRetries:        *maxRetries,
-		RetryBackoff:      *retryBackoff,
-		JobTTL:            *jobTTL,
-		GCInterval:        *gcInterval,
-		SpoolDir:          *spool,
-		CheckpointEvery:   *ckptEvery,
-		JobLogDir:         *joblogDir,
-		NodeID:            *nodeID,
-		LeaseTTL:          *leaseTTL,
-		HeartbeatInterval: *heartbeat,
-		TenantQPS:         *tenantQPS,
-		TenantBurst:       *tenantBurst,
-		PriorityQueue:     *priorityQueue,
-		Injector:          injector,
-		EnablePprof:       *enablePprof,
-		ProfileDir:        *profileDir,
-		ProfileThreshold:  *profileThreshold,
-		ProfileKeep:       *profileKeep,
-		ProfileCPUWindow:  *profileCPUWindow,
-		MetricsInterval:   *metricsInterval,
-		Logger:            logger,
+		Addr:             *addr,
+		Datasets:         names,
+		Params:           p,
+		Seed:             *seed,
+		Workers:          *workers,
+		CostWorkers:      *costWorkers,
+		TrainWorkers:     *trainWorkers,
+		AssessWorkers:    *assessWorkers,
+		QueueDepth:       *queue,
+		RequestTimeout:   *reqTimeout,
+		JobTimeout:       *jobTimeout,
+		MaxBodyBytes:     *maxBody,
+		MaxRetries:       *maxRetries,
+		RetryBackoff:     *retryBackoff,
+		JobTTL:           *jobTTL,
+		GCInterval:       *gcInterval,
+		SpoolDir:         *spool,
+		CheckpointEvery:  *ckptEvery,
+		JobLogDir:        *joblogDir,
+		TenantQPS:        *tenantQPS,
+		TenantBurst:      *tenantBurst,
+		PriorityQueue:    *priorityQueue,
+		Injector:         injector,
+		EnablePprof:      *enablePprof,
+		ProfileDir:       *profileDir,
+		ProfileThreshold: *profileThreshold,
+		ProfileKeep:      *profileKeep,
+		ProfileCPUWindow: *profileCPUWindow,
+		Logger:           logger,
 		Tracer: trace.New(trace.Options{
 			Recent: *traceRecent, SlowPerOp: *traceSlow, Every: *traceEvery,
 		}),

@@ -7,15 +7,7 @@
 //
 //	trapload -jobs 1000 -clients 64 -tenants 8 -out BENCH_service.json
 //
-// With -chaos-nodes N it instead runs the multi-node chaos drill: N
-// in-process fleet nodes share one job namespace, the node owning a
-// running RL-training job is killed mid-training, and the measured
-// failover SLOs (takeover latency, exactly-once completion) are written
-// to the report's "chaos" section:
-//
-//	trapload -chaos-nodes 3 -chaos-jobs 2 -out BENCH_chaos.json
-//
-// The harness exercises the whole cluster-grade job path — admission
+// The harness exercises the whole job path — admission
 // quotas (429), capacity shedding (503), the priority queue, the worker
 // pool, and job GC bookkeeping — without a network: clients drive
 // http.Handler directly, so the latencies are the service's own, not
@@ -121,17 +113,7 @@ func main() {
 	sloAdmitP99 := flag.Duration("slo-admit-p99", 250*time.Millisecond, "admission latency p99 budget")
 	timeout := flag.Duration("timeout", 15*time.Minute, "whole-run deadline")
 	out := flag.String("out", "BENCH_service.json", "output path for the JSON report")
-	chaosNodes := flag.Int("chaos-nodes", 0, "run the multi-node chaos drill with N fleet nodes instead of the load run (0 disables)")
-	chaosJobs := flag.Int("chaos-jobs", 2, "RL-training jobs the chaos drill submits across the fleet")
 	flag.Parse()
-
-	if *chaosNodes > 0 {
-		if err := runChaos(*chaosNodes, *chaosJobs, *seed, *timeout, *out); err != nil {
-			fmt.Fprintln(os.Stderr, "trapload:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if err := run(*jobs, *clients, *tenants, *workers, *queue, *tenantQPS, *tenantBurst,
 		*interactiveEvery, *seed, *maxAttempts, *sloAdmitP99, *timeout, *out); err != nil {

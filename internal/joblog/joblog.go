@@ -32,6 +32,17 @@
 // rename and the deletes replays old-then-snapshot, which folds to the
 // same state.
 //
+// # Single writer
+//
+// A log has exactly one writer. Open takes an exclusive flock(2) on the
+// lock file (LockFile) in the directory before it reads a segment, and
+// holds it until Close. A second process opening the same directory
+// blocks in Open until the first one closes the log or dies (the kernel
+// releases the lock with the process), then replays everything the
+// first one wrote. That is how a standby trapd waits for its primary. A
+// stopped (SIGSTOP) holder keeps the lock, so a paused writer can never
+// wake up beside a successor.
+//
 // # Degraded mode
 //
 // A failed append write or fsync (ENOSPC, an I/O error, an injected
@@ -57,6 +68,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/trap-repro/trap/internal/faultinject"
@@ -90,6 +102,9 @@ type Options struct {
 	// before each append writes its frame. An injected error is handled
 	// exactly like a real write failure: the log degrades to read-only.
 	Injector faultinject.Injector
+	// OnWait, when non-nil, is called once if another writer holds the
+	// directory's lock, just before Open blocks waiting for it.
+	OnWait func()
 }
 
 func (o *Options) fill() {
@@ -131,6 +146,7 @@ type Stats struct {
 type Log struct {
 	dir  string
 	opts Options
+	lock *os.File // holds the exclusive flock until Close
 
 	mu      sync.Mutex
 	f       *os.File // active segment
@@ -144,6 +160,10 @@ type Log struct {
 
 const frameHeader = 8 // length + crc
 
+// LockFile is the name of the lock file Open creates in the log
+// directory. It is never a segment and Compact never removes it.
+const LockFile = "LOCK"
+
 var errClosed = errors.New("joblog: log is closed")
 
 // ErrDegraded is returned (wrapped around the original failure) by every
@@ -152,22 +172,68 @@ var errClosed = errors.New("joblog: log is closed")
 // node should stop acknowledging new work and drain.
 var ErrDegraded = errors.New("joblog: degraded, log is read-only")
 
-// Open opens (or creates) the log in dir, replays every recoverable
-// record into o.Replay, recovers from a torn tail, and leaves the log
-// positioned for appends.
+// Open opens (or creates) the log in dir, waits for the directory's
+// writer lock, replays every recoverable record into o.Replay, recovers
+// from a torn tail, and leaves the log positioned for appends.
 func Open(dir string, o Options) (*Log, error) {
 	o.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("joblog: %w", err)
 	}
-	l := &Log{dir: dir, opts: o, nextSeq: 1}
-	nums, err := l.segmentNums()
+	lock, err := lockDir(dir, o.OnWait)
 	if err != nil {
 		return nil, err
 	}
+	l := &Log{dir: dir, opts: o, nextSeq: 1, lock: lock}
+	if err := l.load(); err != nil {
+		lock.Close() // closing the only descriptor drops the flock
+		return nil, err
+	}
+	return l, nil
+}
+
+// lockDir takes the exclusive writer lock of dir. It tries without
+// blocking first, so a waiting caller can be told (onWait) before it
+// blocks until the holder closes its log or dies.
+func lockDir(dir string, onWait func()) (*os.File, error) {
+	f, err := os.OpenFile(filepath.Join(dir, LockFile), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("joblog: %w", err)
+	}
+	fd := int(f.Fd())
+	err = syscall.Flock(fd, syscall.LOCK_EX|syscall.LOCK_NB)
+	if errors.Is(err, syscall.EWOULDBLOCK) {
+		if onWait != nil {
+			onWait()
+		}
+		err = flockRetry(fd)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("joblog: locking %s: %w", dir, err)
+	}
+	return f, nil
+}
+
+// flockRetry blocks for the exclusive lock, retrying interrupted calls.
+func flockRetry(fd int) error {
+	for {
+		err := syscall.Flock(fd, syscall.LOCK_EX)
+		if err != syscall.EINTR {
+			return err
+		}
+	}
+}
+
+// load replays every segment and opens the last one for appends.
+func (l *Log) load() error {
+	nums, err := l.segmentNums()
+	if err != nil {
+		return err
+	}
 	for i, n := range nums {
 		if err := l.replaySegment(n, i == len(nums)-1); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Append into the last existing segment, or start the first one.
@@ -175,10 +241,7 @@ func Open(dir string, o Options) (*Log, error) {
 	if len(nums) > 0 {
 		num = nums[len(nums)-1]
 	}
-	if err := l.openSegment(num); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return l.openSegment(num)
 }
 
 // segPath names segment n.
@@ -470,7 +533,8 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes the active segment. Appends after Close fail.
+// Close syncs and closes the active segment and releases the writer
+// lock. Appends after Close fail.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -478,11 +542,15 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	var err error
 	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			l.f.Close()
-			return fmt.Errorf("joblog: %w", err)
+		if serr := l.f.Sync(); serr != nil {
+			err = fmt.Errorf("joblog: %w", serr)
 		}
 	}
-	return l.f.Close()
+	if cerr := l.f.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("joblog: %w", cerr)
+	}
+	l.lock.Close() // the last descriptor of the lock file: drops the flock
+	return err
 }

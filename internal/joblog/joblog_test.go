@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/trap-repro/trap/internal/faultinject"
 )
@@ -386,5 +387,101 @@ func TestStatsCounters(t *testing.T) {
 	defer l2.Close()
 	if st := l2.Stats(); st.TornTails != 1 || st.CorruptFrames != 1 || st.Compactions != 0 {
 		t.Fatalf("stats after torn-tail reopen: %+v", st)
+	}
+}
+
+// TestLockSingleWriter opens one directory twice in one process (two
+// descriptors, so two flock holders): the second Open reports that it
+// is waiting, blocks while the first log is open, and returns only
+// after the first Close, replaying what the first writer appended.
+func TestLockSingleWriter(t *testing.T) {
+	dir := t.TempDir()
+	first, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting := make(chan struct{})
+	type opened struct {
+		l    *Log
+		recs []Record
+		err  error
+	}
+	done := make(chan opened, 1)
+	go func() {
+		var recs []Record
+		l, err := Open(dir, Options{
+			NoSync: true,
+			OnWait: func() { close(waiting) },
+			Replay: func(r Record) error { recs = append(recs, r); return nil },
+		})
+		done <- opened{l, recs, err}
+	}()
+	select {
+	case <-waiting:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Open never reported waiting for the lock")
+	}
+	if _, err := first.Append("submit", "job-1", nil); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case o := <-done:
+		t.Fatalf("second Open returned while the first log was open: %+v", o)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var o opened
+	select {
+	case o = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("second Open still blocked after the first Close")
+	}
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	defer o.l.Close()
+	if len(o.recs) != 1 || o.recs[0].JobID != "job-1" {
+		t.Fatalf("second writer replayed %+v, want the first writer's record", o.recs)
+	}
+	if _, err := o.l.Append("state", "job-1", nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLockFileNotASegment checks that the lock file is invisible to the
+// segment scan and survives Compact.
+func TestLockFileNotASegment(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 128, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 10; i++ {
+		if _, err := l.Append("state", fmt.Sprintf("job-%d", i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nums, err := l.segmentNums()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(nums)+1 {
+		t.Fatalf("dir holds %d files for %d segments, want segments plus the lock file", len(ents), len(nums))
+	}
+	if err := l.Compact([]Record{{Type: "state", JobID: "job-9"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, LockFile)); err != nil {
+		t.Fatalf("lock file after compact: %v", err)
+	}
+	if st := l.Stats(); st.Segments != 1 {
+		t.Fatalf("segments after compact = %d, want 1", st.Segments)
 	}
 }

@@ -443,10 +443,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // Values dumps every metric as a flat name → value map: counters and
-// gauges directly, histograms as _count/_sum/_p99 triples. This is the
-// snapshot shape published over the cluster bus for metric federation —
-// counters and _count/_sum sum meaningfully across nodes, while gauges
-// and quantiles are only meaningful in the per-node breakdown.
+// gauges directly, histograms as _count/_sum/_p99 triples — a snapshot
+// that two points in time can be diffed over.
 func (r *Registry) Values() map[string]float64 {
 	r.mu.RLock()
 	out := make(map[string]float64, r.size())

@@ -328,11 +328,10 @@ func TestJobStoreGC(t *testing.T) {
 	recent := now.Add(-time.Minute)
 
 	mk := func(status JobStatus, fin *time.Time) string {
-		j := st.create(Job{Dataset: "tpch", Advisor: "Drop", Method: "Random"})
-		st.update(j.ID, func(j *Job) {
-			j.Status = status
-			j.Finished = fin
-		})
+		j := st.newJob(Job{Dataset: "tpch", Advisor: "Drop", Method: "Random"})
+		j.Status = status
+		j.Finished = fin
+		st.restore(j)
 		return j.ID
 	}
 	doneOld := mk(JobDone, &old)

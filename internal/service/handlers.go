@@ -39,8 +39,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/nodes", s.handleNodes)
-	s.mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
 	s.mux.HandleFunc("GET /v1/profiles", s.handleProfiles)
 	s.mux.HandleFunc("GET /v1/profiles/{file}", s.handleProfileFile)
 	if s.cfg.EnablePprof {
@@ -145,24 +143,15 @@ type readyResponse struct {
 	Reason string `json:"reason,omitempty"`
 	Queued int    `json:"queued"`
 	Depth  int    `json:"depth"`
-	// Node and Leases report fleet identity and lease health in cluster
-	// mode.
-	Node   string `json:"node,omitempty"`
-	Leases int    `json:"leases,omitempty"`
 }
 
 // handleReadyz is the load-balancer readiness gate, distinct from the
 // /healthz liveness probe: the process can be alive (healthz 200) but
 // not ready — still replaying the job log, with a degraded (read-only)
-// job log, with stalled heartbeats that put its leases at risk, or with
-// a saturated queue that would shed new work anyway.
+// job log, or with a saturated queue that would shed new work anyway.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	queued := s.pool.queued()
 	resp := readyResponse{Queued: queued, Depth: s.cfg.QueueDepth}
-	if s.coord != nil {
-		resp.Node = s.cfg.NodeID
-		resp.Leases = s.coord.Leases()
-	}
 	if !s.ready.Load() {
 		resp.Reason = "replaying job log"
 		writeJSON(w, http.StatusServiceUnavailable, resp)
@@ -172,17 +161,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		resp.Reason = "job log degraded; draining"
 		writeJSON(w, http.StatusServiceUnavailable, resp)
 		return
-	}
-	if s.coord != nil {
-		if age := s.coord.HeartbeatAge(); age > s.coord.TTL {
-			// The node cannot prove liveness to the fleet: its leases are
-			// past (or about to pass) their deadlines and survivors will
-			// take its jobs over. Stop routing traffic to it.
-			resp.Reason = fmt.Sprintf("heartbeat stalled for %s (lease TTL %s); leases at risk",
-				age.Round(time.Millisecond), s.coord.TTL)
-			writeJSON(w, http.StatusServiceUnavailable, resp)
-			return
-		}
 	}
 	if queued >= s.cfg.QueueDepth {
 		resp.Reason = "job queue saturated"
@@ -528,12 +506,9 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.bus != nil {
-		s.handleAssessCluster(w, req, tenant, pri)
-		return
-	}
-
-	job := s.jobs.create(Job{
+	// The submit record's fold registers the job and its event stream;
+	// the job is queued right after, on this goroutine.
+	job := s.jobs.newJob(Job{
 		Dataset:    req.Dataset,
 		Advisor:    req.Advisor,
 		Method:     req.Method,
@@ -541,18 +516,16 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		Tenant:     tenant,
 		Priority:   pri.String(),
 	})
-	s.events.create(job.ID)
-	s.appendJobRecord(recSubmit, job)
-	s.events.publish(job.ID, JobEvent{Type: evState, Status: JobPending})
+	s.record(recSubmit, job.ID, job)
 	s.mJobsSub.Inc()
 	if err := s.pool.submit(job.ID, pri); err != nil {
-		now := time.Now()
-		s.jobs.update(job.ID, func(j *Job) {
+		s.transition(job.ID, func(j *Job) bool {
+			now := time.Now()
 			j.Status = JobFailed
 			j.Error = err.Error()
 			j.Finished = &now
+			return true
 		})
-		s.publishState(job.ID)
 		// 503 + Retry-After: the condition is load (or shutdown), not a
 		// bad request — the client should resubmit later. The hint comes
 		// from the observed queue drain rate, not a constant guess.
@@ -680,37 +653,18 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "job %s already %s", id, j.Status)
 		return
 	}
-	if s.coord != nil {
-		if _, owned := s.coord.Owned(id); !owned {
-			// Cancel-anywhere: this node does not own the job, so the
-			// request routes to the owner through the shared log (and
-			// outlives the owner — a node that takes the job over after
-			// a crash finds the cancel record and finalizes it).
-			if _, err := s.bus.Append(s.cfg.NodeID, recCancel, id, nil); err != nil {
-				writeError(w, http.StatusServiceUnavailable, "cannot persist cancel request: %v", err)
-				return
-			}
-			j, _ = s.jobs.get(id)
-			writeJSON(w, http.StatusAccepted, j)
-			return
+	_, canceledNow := s.transition(id, func(j *Job) bool {
+		if j.Status != JobPending {
+			return false
 		}
-	}
-	canceledNow := false
-	now := time.Now()
-	s.jobs.update(id, func(j *Job) {
-		if j.Status == JobPending {
-			j.Status = JobCanceled
-			j.Error = "canceled before start"
-			j.Finished = &now
-			canceledNow = true
-		}
+		now := time.Now()
+		j.Status = JobCanceled
+		j.Error = "canceled before start"
+		j.Finished = &now
+		return true
 	})
 	if canceledNow {
 		s.mJobsCanceled.Inc()
-		s.publishState(id)
-		if s.coord != nil {
-			s.coord.RunEnded(id) // drop the lease entry; the job is terminal
-		}
 	} else if cancel := s.jobs.takeCancel(id); cancel != nil {
 		cancel()
 	}

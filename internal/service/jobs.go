@@ -73,11 +73,6 @@ type Job struct {
 	// Restored reports that the job was interrupted by a process death
 	// and re-enqueued from the job log on restart.
 	Restored bool `json:"restored,omitempty"`
-	// Node names the fleet node that owns (or last owned) the job and
-	// Epoch the lease fencing token it is owned under — set only in
-	// cluster mode (Config.NodeID).
-	Node  string `json:"node,omitempty"`
-	Epoch uint64 `json:"leaseEpoch,omitempty"`
 	// TraceID links the job to its pipeline trace (GET /v1/traces/{id});
 	// empty when the tracer's head sampling skipped this job.
 	TraceID  string     `json:"traceId,omitempty"`
@@ -114,9 +109,11 @@ type jobStore struct {
 	jobs    map[string]*Job
 	cancels map[string]context.CancelFunc
 	// prog is the per-job epoch high-water of folded progress records
-	// (cluster mode): epochs re-run after a takeover resume are folded
-	// but not re-published to the event stream.
-	prog map[string]int
+	// and cells the set of folded measurement cells: epochs and cells
+	// re-run after a retry or a restart are folded but not re-published
+	// to the event stream.
+	prog  map[string]int
+	cells map[string]map[int]bool
 }
 
 func newJobStore() *jobStore {
@@ -124,25 +121,23 @@ func newJobStore() *jobStore {
 		jobs:    map[string]*Job{},
 		cancels: map[string]context.CancelFunc{},
 		prog:    map[string]int{},
+		cells:   map[string]map[int]bool{},
 	}
 }
 
-// create registers a new pending job from the template (dataset,
-// advisor, method, constraint, tenant, priority) and returns a snapshot.
-func (s *jobStore) create(tpl Job) Job {
+// newJob allocates the next job ID for a pending job built from the
+// template (dataset, advisor, method, constraint, tenant, priority).
+// The job enters the store when its submit record is applied.
+func (s *jobStore) newJob(tpl Job) Job {
 	tpl.ID = fmt.Sprintf("job-%d", s.next.Add(1))
 	tpl.Status = JobPending
 	tpl.Created = time.Now()
-	j := tpl
-	s.mu.Lock()
-	s.jobs[j.ID] = &j
-	s.mu.Unlock()
 	return tpl
 }
 
-// restore inserts a replayed job under its original ID and keeps the ID
-// sequence strictly ahead of every restored ID, so new submissions
-// never collide with replayed ones.
+// restore inserts or replaces a job under its ID (the fold of a submit
+// or state record) and keeps the ID sequence strictly ahead of every
+// restored ID, so new submissions never collide with replayed ones.
 func (s *jobStore) restore(j Job) {
 	if n := jobNum(j.ID); n > 0 {
 		for {
@@ -233,25 +228,46 @@ func (s *jobStore) takeCancel(id string) context.CancelFunc {
 	return fn
 }
 
-// advanceEpoch advances the job's progress high-water, reporting
+// advanceEpoch advances a live job's progress high-water, reporting
 // whether epoch is new (and should be published to the event stream).
 func (s *jobStore) advanceEpoch(id string, epoch int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if epoch <= s.prog[id] {
+	if _, ok := s.jobs[id]; !ok || epoch <= s.prog[id] {
 		return false
 	}
 	s.prog[id] = epoch
 	return true
 }
 
+// markCell records a live job's finished measurement cell, reporting
+// whether it is new (and should be published to the event stream).
+func (s *jobStore) markCell(id string, workload int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.jobs[id]; !ok || s.cells[id][workload] {
+		return false
+	}
+	if s.cells[id] == nil {
+		s.cells[id] = map[int]bool{}
+	}
+	s.cells[id][workload] = true
+	return true
+}
+
 // remove drops one job entirely (a folded drop tombstone).
 func (s *jobStore) remove(id string) {
 	s.mu.Lock()
+	s.forgetLocked(id)
+	s.mu.Unlock()
+}
+
+// forgetLocked deletes every trace of a job (caller holds mu).
+func (s *jobStore) forgetLocked(id string) {
 	delete(s.jobs, id)
 	delete(s.cancels, id)
 	delete(s.prog, id)
-	s.mu.Unlock()
+	delete(s.cells, id)
 }
 
 // gc removes terminal jobs that finished more than ttl ago and returns
@@ -266,9 +282,7 @@ func (s *jobStore) gc(ttl time.Duration, now time.Time) []string {
 			continue
 		}
 		if now.Sub(*j.Finished) >= ttl {
-			delete(s.jobs, id)
-			delete(s.cancels, id)
-			delete(s.prog, id)
+			s.forgetLocked(id)
 			dropped = append(dropped, id)
 		}
 	}

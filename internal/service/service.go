@@ -17,11 +17,14 @@
 //	GET  /readyz      — readiness (replay finished, queue not saturated)
 //	GET  /debug/pprof/* — profiling endpoints (only with Config.EnablePprof)
 //
-// With Config.JobLogDir set, every job transition is appended to a
-// durable, CRC-framed job log (internal/joblog). On startup the log is
-// replayed: terminal jobs come back queryable, and jobs that were
-// pending or running when the process died are re-enqueued and resume
-// from their latest spooled checkpoint. Admission control
+// With Config.JobLogDir set, every job transition and progress event is
+// appended to a durable, CRC-framed job log (internal/joblog) before it
+// is applied (see records.go). On startup the log is replayed through
+// the same fold: terminal jobs come back queryable with their event
+// streams, and jobs that were pending or running when the process died
+// are re-enqueued and resume from their latest spooled checkpoint. The
+// log has one writer: a second trapd on the same directory waits in
+// NewServer as a standby and takes over when the writer dies. Admission control
 // (internal/admission) adds per-tenant quotas and honest Retry-After
 // hints on load sheds.
 //
@@ -34,7 +37,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -53,7 +55,6 @@ import (
 	"github.com/trap-repro/trap/internal/assess"
 	"github.com/trap-repro/trap/internal/bench"
 	"github.com/trap-repro/trap/internal/buildinfo"
-	"github.com/trap-repro/trap/internal/cluster"
 	"github.com/trap-repro/trap/internal/core"
 	"github.com/trap-repro/trap/internal/faultinject"
 	"github.com/trap-repro/trap/internal/joblog"
@@ -148,10 +149,10 @@ type Config struct {
 	CheckpointEvery int
 	// JobLogDir, when set, enables the durable job log: every job
 	// transition is appended (fsync'd) there and replayed on startup, so
-	// jobs survive a process death. Empty disables the log.
+	// jobs survive a process death. Only one process writes a job log at
+	// a time: NewServer waits while another process holds it (the
+	// standby). Empty disables the log.
 	JobLogDir string
-	// JobLogSegmentBytes overrides the job-log segment size (testing).
-	JobLogSegmentBytes int64
 	// TenantQPS enables per-tenant admission quotas: each tenant (the
 	// X-Trap-Tenant header) may submit at this sustained rate. <= 0
 	// disables quotas.
@@ -179,30 +180,9 @@ type Config struct {
 	// ProfileCPUWindow is how long the post-breach CPU profile runs
 	// (default 1s).
 	ProfileCPUWindow time.Duration
-	// MetricsInterval is the cadence of cluster metric federation: each
-	// node publishes its registry snapshot to the shared bus this often
-	// (default 5s; only meaningful in cluster mode).
-	MetricsInterval time.Duration
 	// Injector arms the fault-injection points in the suites' engines
 	// and frameworks (nil — the default — disables injection).
 	Injector faultinject.Injector
-
-	// NodeID, when set, joins the server to a multi-node fleet: jobs are
-	// owned via leases over the shared job log (worker-pull placement),
-	// with fencing-token takeover when a node dies. Requires JobLogDir or
-	// Bus. Empty (the default) keeps the single-node job path.
-	NodeID string
-	// LeaseTTL is how long a job lease survives without renewal; a node
-	// that misses heartbeats for this long loses its jobs to takeover
-	// (default 15s).
-	LeaseTTL time.Duration
-	// HeartbeatInterval is the heartbeat/renew/reconcile cadence
-	// (default LeaseTTL/3).
-	HeartbeatInterval time.Duration
-	// Bus attaches the server to an existing in-process fleet bus
-	// (chaos drills, cmd/trapload). When nil and NodeID is set, the
-	// server opens its own bus over JobLogDir.
-	Bus *cluster.Bus
 }
 
 func (c *Config) fill() {
@@ -272,9 +252,6 @@ func (c *Config) fill() {
 	if c.ProfileCPUWindow <= 0 {
 		c.ProfileCPUWindow = time.Second
 	}
-	if c.MetricsInterval <= 0 {
-		c.MetricsInterval = 5 * time.Second
-	}
 }
 
 // Server is the trapd HTTP service.
@@ -290,30 +267,21 @@ type Server struct {
 	jlog   *joblog.Log // nil when JobLogDir is unset
 	adm    *admission.Controller
 	events *eventBus
-	ready  atomic.Bool // false until the job-log replay has finished
+	// recMu orders job records: append and apply happen under it, so
+	// records are applied in log order (see records.go).
+	recMu sync.Mutex
+	ready atomic.Bool // false until the job-log replay has finished
 	// draining latches true when the job log degrades (an append or
-	// fsync failed): the node stops accepting jobs and claiming leases,
-	// serves what it has, and /readyz turns 503.
+	// fsync failed): the node stops accepting jobs, serves what it has,
+	// and /readyz turns 503.
 	draining atomic.Bool
 	mux      *http.ServeMux
 	start    time.Time
 
-	// Cluster mode (Config.NodeID): the shared bus, this node's lease
-	// coordinator, and its fold subscription. ownBus marks a bus this
-	// server opened itself (and must close).
-	bus    *cluster.Bus
-	coord  *cluster.Coordinator
-	sub    *cluster.Sub
-	ownBus bool
-
-	// Telemetry: per-job time-series scopes, the continuous-profiling
-	// harness, and the cluster metric-federation publisher.
-	tscopes      *scopeStore
-	prof         *profiler // nil when ProfileDir is unset
-	metricsEvery time.Duration
-	metricsStop  chan struct{}
-	metricsDone  chan struct{}
-	metricsOnce  sync.Once
+	// Telemetry: per-job time-series scopes and the continuous-profiling
+	// harness.
+	tscopes *scopeStore
+	prof    *profiler // nil when ProfileDir is unset
 
 	mRequests     *obs.Counter
 	mReqSecs      *obs.Histogram
@@ -325,7 +293,6 @@ type Server struct {
 	mJobPanics    *obs.Counter
 	mJobsGCed     *obs.Counter
 	mJobsRestored *obs.Counter
-	mJobsFenced   *obs.Counter
 	mCkptSaved    *obs.Counter
 	mCkptResumed  *obs.Counter
 	mShedQuota    *obs.Counter
@@ -334,19 +301,12 @@ type Server struct {
 	mJobSecs      *obs.Histogram
 }
 
-// Job-log record types. Submit and state records carry a full Job
-// snapshot (replay folds them last-write-wins); drop records mark a
-// GC'd job so replay forgets it.
-const (
-	recSubmit = "submit"
-	recState  = "state"
-	recDrop   = "drop"
-)
-
 // NewServer builds the suites for every configured dataset (this is the
 // slow part: workload generation and utility-model training) and wires
-// the handlers and worker pool. The server is ready to serve as soon as
-// NewServer returns.
+// the handlers and worker pool. With a JobLogDir it then opens and
+// replays the job log; while another process holds that log, NewServer
+// waits, suites already built, and takes over when the holder exits or
+// dies. The server is ready to serve as soon as NewServer returns.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{
@@ -374,7 +334,6 @@ func NewServer(cfg Config) (*Server, error) {
 		mJobPanics:    cfg.Registry.Counter("trapd_job_panics_total"),
 		mJobsGCed:     cfg.Registry.Counter("trapd_jobs_gced_total"),
 		mJobsRestored: cfg.Registry.Counter("trapd_jobs_restored_total"),
-		mJobsFenced:   cfg.Registry.Counter("trapd_jobs_fenced_total"),
 		mCkptSaved:    cfg.Registry.Counter("trapd_checkpoints_saved_total"),
 		mCkptResumed:  cfg.Registry.Counter("trapd_checkpoints_resumed_total"),
 		mShedQuota:    cfg.Registry.Counter("trapd_shed_quota_total"),
@@ -466,12 +425,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.reg.Describe(name, help)
 	}
 	s.pool = newWorkerPool(cfg.Workers, cfg.QueueDepth, s.runJob)
-	switch {
-	case cfg.NodeID != "":
-		if err := s.setupCluster(); err != nil {
-			return nil, err
-		}
-	case cfg.JobLogDir != "":
+	if cfg.JobLogDir != "" {
 		if err := s.openJobLog(); err != nil {
 			return nil, err
 		}
@@ -483,172 +437,10 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// openJobLog opens (or creates) the durable job log, replays it into
-// the job store — re-enqueuing jobs interrupted by a process death —
-// and compacts the log down to one state record per live job.
-func (s *Server) openJobLog() error {
-	byID := map[string]*Job{}
-	var order []string // first-seen order, preserved across folding
-	l, err := joblog.Open(s.cfg.JobLogDir, joblog.Options{
-		SegmentBytes: s.cfg.JobLogSegmentBytes,
-		Injector:     s.cfg.Injector,
-		Replay: func(r joblog.Record) error {
-			switch r.Type {
-			case recSubmit, recState:
-				var j Job
-				if err := json.Unmarshal(r.Data, &j); err != nil || j.ID == "" {
-					return nil // tolerate a damaged payload: skip the record
-				}
-				if _, seen := byID[j.ID]; !seen {
-					order = append(order, j.ID)
-				}
-				byID[j.ID] = &j
-			case recDrop:
-				delete(byID, r.JobID)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("service: job log: %w", err)
-	}
-	s.jlog = l
-
-	var snapshot []joblog.Record
-	restored, requeued := 0, 0
-	for _, id := range order {
-		j, ok := byID[id]
-		if !ok {
-			continue // dropped later in the log
-		}
-		if !j.Status.terminal() {
-			// The process died while this job was queued or running:
-			// re-enqueue it. A spooled checkpoint (if the server has a
-			// spool) makes the re-run resume mid-training.
-			j.Status = JobPending
-			j.Restored = true
-			j.Started, j.Finished = nil, nil
-			j.Error, j.Stack = "", ""
-			j.Result = nil
-			requeued++
-		}
-		s.jobs.restore(*j)
-		hub := s.events.create(j.ID)
-		ev := JobEvent{Type: evState, Status: j.Status, Error: j.Error}
-		hub.publish(ev)
-		if j.Status.terminal() {
-			if j.Status == JobDone && j.Result != nil {
-				hub.publish(JobEvent{Type: evResult, Result: j.Result})
-			}
-			hub.closeHub()
-		} else if err := s.pool.submit(j.ID, j.priority()); err != nil {
-			now := time.Now()
-			s.jobs.update(j.ID, func(jj *Job) {
-				jj.Status = JobFailed
-				jj.Error = fmt.Sprintf("re-enqueue after restart: %v", err)
-				jj.Finished = &now
-			})
-			cur, _ := s.jobs.get(j.ID)
-			*j = cur
-			hub.publish(JobEvent{Type: evState, Status: j.Status, Error: j.Error})
-			hub.closeHub()
-		}
-		cur, _ := s.jobs.get(j.ID)
-		data, merr := json.Marshal(cur)
-		if merr != nil {
-			continue
-		}
-		snapshot = append(snapshot, joblog.Record{Type: recState, JobID: j.ID, Data: data})
-		restored++
-	}
-	if err := l.Compact(snapshot); err != nil {
-		return fmt.Errorf("service: job log compact: %w", err)
-	}
-	if restored > 0 {
-		s.mJobsRestored.Add(int64(requeued))
-		s.log.Info(context.Background(), "trapd: job log replayed",
-			"jobs", restored, "requeued", requeued, "dir", s.cfg.JobLogDir)
-	}
-	return nil
-}
-
-// appendJobRecord durably appends the job's current state to the job
-// log. Log failures are non-fatal for the job itself (they cost
-// durability, not correctness of the in-memory run) — but a degraded
-// log flips the node into read-only draining: it finishes what it has
-// and stops accepting work whose transitions it could not persist.
-func (s *Server) appendJobRecord(typ string, j Job) {
-	if s.jlog == nil {
-		return
-	}
-	if _, err := s.jlog.Append(typ, j.ID, j); err != nil {
-		if errors.Is(err, joblog.ErrDegraded) && s.draining.CompareAndSwap(false, true) {
-			s.log.Error(context.Background(),
-				"trapd: job log degraded, node entering read-only drain", "err", err)
-		}
-		s.log.Warn(context.Background(), "trapd: job log append failed", "job", j.ID, "err", err)
-	}
-}
-
-// publishState streams the job's current lifecycle state, mirrors it to
-// the job log, and — when the state is terminal — finalizes the stream.
-//
-// In cluster mode the state is appended under this node's lease and hub
-// events come only from the fold (identical Seqs on every node). The
-// return value reports a rejected terminal publication: the lease was
-// lost (fenced), the node is dead/partitioned, or the log degraded —
-// either way the result did not reach the shared log and the caller
-// must not account the job as completed (another node owns it now).
-func (s *Server) publishState(id string) (rejected bool) {
-	j, ok := s.jobs.get(id)
-	if !ok {
-		return false
-	}
-	if s.coord != nil {
-		if _, err := s.coord.AppendOwned(recState, id, j); err != nil {
-			if errors.Is(err, joblog.ErrDegraded) && s.draining.CompareAndSwap(false, true) {
-				s.log.Error(context.Background(),
-					"trapd: job log degraded, node entering read-only drain", "err", err)
-			}
-			s.log.Warn(context.Background(), "trapd: cluster state append rejected",
-				"job", id, "status", j.Status, "err", err)
-			return j.Status.terminal()
-		}
-		return false
-	}
-	ev := JobEvent{Type: evState, Status: j.Status, Error: j.Error}
-	s.events.publish(id, ev)
-	s.appendJobRecord(recState, j)
-	if j.Status.terminal() {
-		if j.Status == JobDone && j.Result != nil {
-			s.events.publish(id, JobEvent{Type: evResult, Result: j.Result})
-		}
-		s.events.closeHub(id)
-	}
-	return false
-}
-
-// Close releases the server's durable resources (the job log, the
-// fleet attachment). Safe to call more than once; serving continues
-// degraded if it ever races an in-flight append (appends after close
-// fail soft).
+// Close releases the server's job log and with it the log's writer
+// lock, so a standby waiting on the same directory takes over. Safe to
+// call more than once; appends after Close fail soft.
 func (s *Server) Close() error {
-	if s.metricsStop != nil {
-		s.metricsOnce.Do(func() {
-			close(s.metricsStop)
-			<-s.metricsDone
-		})
-	}
-	if s.coord != nil {
-		s.coord.Stop()
-	}
-	if s.bus != nil {
-		s.bus.Detach(s.cfg.NodeID)
-		if s.ownBus {
-			return s.bus.Close()
-		}
-		return nil
-	}
 	if s.jlog != nil {
 		return s.jlog.Close()
 	}
@@ -705,11 +497,23 @@ func (s *Server) Run(ctx context.Context) error {
 	return s.serve(ctx, ln)
 }
 
-const shutdownGrace = 30 * time.Second
+const (
+	shutdownGrace = 30 * time.Second
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request header; idleTimeout closes keep-alive connections left
+	// idle. Neither bounds a request once its header is in: SSE streams
+	// stay open for as long as their jobs run.
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 func (s *Server) serve(ctx context.Context, ln net.Listener) error {
 	defer s.Close()
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	gctx, stopGC := context.WithCancel(ctx)
@@ -750,29 +554,16 @@ func (s *Server) gcLoop(ctx context.Context) {
 }
 
 // collectGarbage drops terminal jobs past their TTL from every layer:
-// the in-memory store, the SSE event hubs, and — via a tombstone — the
-// durable job log, so a restart does not resurrect what the GC already
-// forgot.
+// the in-memory store, the SSE event hubs, the telemetry scopes and —
+// via a tombstone record — the durable job log, so a restart does not
+// resurrect what the GC already forgot.
 func (s *Server) collectGarbage(ctx context.Context, now time.Time) int {
 	dropped := s.jobs.gc(s.cfg.JobTTL, now)
 	if len(dropped) == 0 {
 		return 0
 	}
 	for _, id := range dropped {
-		s.events.drop(id)
-		s.tscopes.drop(id)
-		switch {
-		case s.bus != nil:
-			// Fleet-wide tombstone: every node's fold forgets the job
-			// (duplicate tombstones from concurrent GCs are idempotent).
-			if _, err := s.bus.Append(s.cfg.NodeID, recDrop, id, nil); err != nil {
-				s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
-			}
-		case s.jlog != nil:
-			if _, err := s.jlog.Append(recDrop, id, nil); err != nil {
-				s.log.Warn(ctx, "trapd: job log drop append failed", "job", id, "err", err)
-			}
-		}
+		s.record(recDrop, id, nil)
 	}
 	s.mJobsGCed.Add(int64(len(dropped)))
 	s.log.Info(ctx, "trapd: gc dropped finished jobs", "count", len(dropped), "ttl", s.cfg.JobTTL)
@@ -780,28 +571,19 @@ func (s *Server) collectGarbage(ctx context.Context, now time.Time) int {
 }
 
 // Drain stops job intake, cancels queued-but-unstarted jobs, and waits
-// (bounded by ctx) for running jobs to finish. In cluster mode queued
-// jobs are released instead of canceled: their leases go back to the
-// fleet and a surviving node picks them up.
+// (bounded by ctx) for running jobs to finish.
 func (s *Server) Drain(ctx context.Context) {
 	for _, id := range s.pool.shutdown(ctx) {
-		if s.coord != nil {
-			s.coord.Release(id)
-			continue
-		}
-		now := time.Now()
-		changed := false
-		s.jobs.update(id, func(j *Job) {
-			if j.Status == JobPending {
-				j.Status = JobCanceled
-				j.Error = "server shut down before the job started"
-				j.Finished = &now
-				changed = true
+		s.transition(id, func(j *Job) bool {
+			if j.Status != JobPending {
+				return false
 			}
+			now := time.Now()
+			j.Status = JobCanceled
+			j.Error = "server shut down before the job started"
+			j.Finished = &now
+			return true
 		})
-		if changed {
-			s.publishState(id)
-		}
 	}
 }
 
@@ -830,29 +612,19 @@ func (s *Server) runJob(id string) {
 		s.jobs.clearCancel(id)
 		cancel()
 	}()
-	if s.coord != nil {
-		// Lease gate: the run proceeds only while this node still owns
-		// the job; the coordinator cancels ctx the moment the lease is
-		// taken over at a higher epoch (the fence).
-		if _, ok := s.coord.RunStarted(id, cancel); !ok {
-			return // lease lost while queued: another node owns the job
+	_, started := s.transition(id, func(j *Job) bool {
+		if j.Status != JobPending {
+			return false
 		}
-		defer s.coord.RunEnded(id)
-	}
-	started := false
-	now := time.Now()
-	s.jobs.update(id, func(j *Job) {
-		if j.Status == JobPending {
-			j.Status = JobRunning
-			j.Started = &now
-			started = true
-		}
+		now := time.Now()
+		j.Status = JobRunning
+		j.Started = &now
+		return true
 	})
 	if !started {
 		// Canceled (or otherwise finalized) while queued: nothing to run.
 		return
 	}
-	s.publishState(id)
 	// Telemetry scope: the training and attack loops below append their
 	// per-epoch / per-step series into it through the context. The scope
 	// survives retries — the series' monotonic step gates dedup re-run
@@ -872,14 +644,11 @@ func (s *Server) runJob(id string) {
 	if tid := tsp.TraceID(); tid != "" {
 		s.jobs.update(id, func(j *Job) { j.TraceID = tid })
 	}
-	// Span→event bridge: each finished measurement cell streams a "cell"
-	// progress event to the job's SSE subscribers. Only sampled jobs have
-	// a trace to observe; unsampled ones still stream state and epoch
-	// events. Cluster mode skips the bridge: hub events must come only
-	// from folded records so Seqs stay identical across nodes.
-	if s.coord == nil {
-		tsp.Observe(s.cellObserver(id))
-	}
+	// Span→record bridge: each finished measurement cell becomes a cell
+	// record and so a "cell" progress event. Only sampled jobs have a
+	// trace to observe; unsampled ones still stream state and epoch
+	// events.
+	tsp.Observe(s.cellObserver(id))
 	s.mJobsRun.Add(1)
 	sp := obs.StartSpan(s.mJobSecs)
 	var res *JobResult
@@ -922,7 +691,7 @@ func (s *Server) runJob(id string) {
 	var pe *panicError
 	isPanic := errors.As(err, &pe)
 	fin := time.Now()
-	s.jobs.update(id, func(j *Job) {
+	s.transition(id, func(j *Job) bool {
 		j.Finished = &fin
 		switch {
 		case err == nil:
@@ -943,17 +712,8 @@ func (s *Server) runJob(id string) {
 			j.Status = JobFailed
 			j.Error = err.Error()
 		}
+		return true
 	})
-	if s.publishState(id) {
-		// The terminal record bounced off the fence (or the node is dead
-		// or partitioned): another node owns the job now and will publish
-		// the real result. This run's outcome is discarded — not counted
-		// as done, the checkpoint left in place for the new owner.
-		s.mJobsFenced.Inc()
-		s.log.Warn(ctx, "trapd: job result fenced, discarding",
-			"elapsed", elapsed.Round(time.Millisecond), "err", err)
-		return
-	}
 	s.adm.JobDone(fin)
 	switch {
 	case err == nil:
@@ -973,31 +733,6 @@ func (s *Server) runJob(id string) {
 	default:
 		s.mJobsFailed.Inc()
 		s.log.Error(ctx, "trapd: job failed", "elapsed", elapsed.Round(time.Millisecond), "err", err)
-	}
-}
-
-// cellObserver builds the span→event bridge that streams one "cell"
-// progress event per finished measurement cell.
-func (s *Server) cellObserver(id string) func(trace.SpanEnd) {
-	return func(se trace.SpanEnd) {
-		if se.Name != "assess.cell" {
-			return
-		}
-		ev := JobEvent{Type: evCell}
-		for _, a := range se.Attrs {
-			switch a.Key {
-			case "workload":
-				if v, ok := a.Value.(int64); ok {
-					w := int(v)
-					ev.Workload = &w
-				}
-			case "pairs":
-				if v, ok := a.Value.(int64); ok {
-					ev.Pairs = int(v)
-				}
-			}
-		}
-		s.events.publish(id, ev)
 	}
 }
 
@@ -1044,31 +779,11 @@ func (s *Server) runAssessment(ctx context.Context, j Job) (*JobResult, error) {
 		// checkpointing piggybacks on it when a spool is configured.
 		every := s.cfg.CheckpointEvery
 		mc.EpochHook = func(fw *core.Framework, epoch int) error {
-			// The epoch's telemetry rides along: the per-epoch RL series
-			// values stream to SSE subscribers and (in cluster mode)
-			// replicate fleet-wide inside the progress record, where every
-			// node's fold re-appends them into its local scope.
-			pts := rlPoints(s.tscopes.get(j.ID))
-			if s.coord != nil {
-				// Progress replicates through the shared log so every
-				// node's SSE streams carry it. A fenced append means the
-				// lease is gone: abort training immediately rather than
-				// burn cores on a result nobody will accept. Append comes
-				// before the checkpoint save, so a crash between the two
-				// re-runs the epoch and the fold's high-water dedups it.
-				if _, perr := s.coord.AppendOwned(recProgress, j.ID, progressData{Epoch: epoch + 1, Points: pts}); perr != nil {
-					if errors.Is(perr, cluster.ErrFenced) || errors.Is(perr, cluster.ErrNotOwner) {
-						return perr
-					}
-					// Partitioned or degraded: keep training; the fence
-					// decides when the terminal state is published.
-				}
-			} else {
-				s.events.publish(j.ID, JobEvent{Type: evEpoch, Epoch: epoch + 1})
-				if len(pts) > 0 {
-					s.events.publish(j.ID, JobEvent{Type: evTelemetry, Epoch: epoch + 1, Points: pts})
-				}
-			}
+			// The progress record carries the epoch's RL telemetry. It
+			// is appended before the checkpoint is saved, so a crash
+			// between the two re-runs the epoch and the fold's
+			// high-water keeps the repeat off the stream.
+			s.record(recProgress, j.ID, progressData{Epoch: epoch + 1, Points: rlPoints(s.tscopes.get(j.ID))})
 			if s.ckpt == nil || (epoch+1)%every != 0 {
 				return nil
 			}

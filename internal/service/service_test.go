@@ -422,3 +422,38 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("serve did not shut down")
 	}
 }
+
+// TestServeDropsStalledHeader opens a raw connection that sends part of
+// a request header and then stalls: the server must close it once
+// readHeaderTimeout passes instead of holding it open forever.
+func TestServeDropsStalledHeader(t *testing.T) {
+	s := newFaultServer(t, nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.serve(ctx, ln) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: trapd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("stalled connection closed after %v, before the header timeout", d)
+	}
+}

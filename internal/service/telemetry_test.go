@@ -147,12 +147,9 @@ func TestJobTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("telemetry SSE events = %d, want 2 (one per epoch)", teleEvents)
 	}
 
-	// Unknown jobs are 404s; a cluster-less node 404s the federation view.
+	// Unknown jobs are 404s.
 	if code, _ := getPath(t, h, "/v1/jobs/job-999999/telemetry"); code != http.StatusNotFound {
 		t.Errorf("unknown job telemetry: %d, want 404", code)
-	}
-	if code, _ := getPath(t, h, "/v1/cluster/metrics"); code != http.StatusNotFound {
-		t.Errorf("cluster metrics without cluster: %d, want 404", code)
 	}
 }
 
@@ -162,90 +159,6 @@ func keysOf(m map[string][]int64) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestClusterMetricsFederation runs a two-node fleet with a fast
-// metrics-publish interval and checks the merged view: both nodes
-// reporting, the fleet aggregate summing across fresh nodes, and a
-// killed node's row turning stale.
-func TestClusterMetricsFederation(t *testing.T) {
-	base := t.TempDir()
-	bus, err := NewFleetBus(filepath.Join(base, "joblog"), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast := func(c *Config) { c.MetricsInterval = 20 * time.Millisecond }
-	srvs := map[string]*Server{
-		"a": newFleetNode(t, bus, "a", filepath.Join(base, "spool"), 0, fast),
-		"b": newFleetNode(t, bus, "b", filepath.Join(base, "spool"), 0, fast),
-	}
-	defer func() {
-		for _, s := range srvs {
-			s.Close()
-		}
-		bus.Close()
-	}()
-
-	h := srvs["a"].Handler()
-	var resp clusterMetricsResponse
-	waitUntil(t, 10*time.Second, "both nodes publishing metrics", func() bool {
-		code, body := getPath(t, h, "/v1/cluster/metrics")
-		if code != http.StatusOK {
-			return false
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		fresh := 0
-		for _, n := range resp.Nodes {
-			if !n.Stale && len(n.Metrics) > 0 {
-				fresh++
-			}
-		}
-		return fresh == 2
-	})
-	if resp.Node != "a" {
-		t.Errorf("serving node = %q, want a", resp.Node)
-	}
-	// The build-info gauge is 1 per node, so the fleet sum over two
-	// fresh nodes running the same binary is exactly 2.
-	bi := buildinfo.Get()
-	gauge := fmt.Sprintf("trap_build_info{git_rev=%q,go_version=%q}", bi.GitRev, bi.GoVersion)
-	if got := resp.Fleet[gauge]; got != 2 {
-		t.Errorf("fleet %s = %g, want 2", gauge, got)
-	}
-
-	// Kill node b: banned nodes are stale immediately and drop out of
-	// the fleet aggregate.
-	srvs["b"].KillNode()
-	waitUntil(t, 10*time.Second, "killed node marked stale", func() bool {
-		code, body := getPath(t, h, "/v1/cluster/metrics")
-		if code != http.StatusOK {
-			return false
-		}
-		if err := json.Unmarshal(body, &resp); err != nil {
-			t.Fatal(err)
-		}
-		var staleB, freshA bool
-		for _, n := range resp.Nodes {
-			if n.Node == "b" && n.Stale {
-				staleB = true
-			}
-			if n.Node == "a" && !n.Stale {
-				freshA = true
-			}
-		}
-		return staleB && freshA && resp.Fleet[gauge] == 1
-	})
-
-	// The per-state node gauges reflect the fleet view.
-	_, mbody := getPath(t, h, "/metrics")
-	if v, ok := metricValue(mbody, `trapd_cluster_nodes{state="down"}`); !ok || v < 1 {
-		t.Errorf(`trapd_cluster_nodes{state="down"} = %g (ok=%v), want >= 1`, v, ok)
-	}
-	if v, ok := metricValue(mbody, `trapd_cluster_nodes{state="alive"}`); !ok || v < 1 {
-		t.Errorf(`trapd_cluster_nodes{state="alive"} = %g (ok=%v), want >= 1`, v, ok)
-	}
 }
 
 // TestProfilerCapturesSlowSpan enables continuous profiling with a tiny

@@ -36,9 +36,9 @@ type Point struct {
 }
 
 // Series is a bounded time series. Steps must be strictly increasing:
-// a re-played step (a checkpoint-resumed epoch, a fenced node's retry)
-// is dropped, which keeps every series monotonic no matter how many
-// times a job is retried or taken over.
+// a re-played step (a checkpoint-resumed epoch, a retry, a replayed
+// progress record) is dropped, which keeps every series monotonic no
+// matter how many times a job is retried or taken over.
 type Series struct {
 	mu      sync.Mutex
 	pts     []Point // ring storage; len is the fill, cap is fixed
