@@ -36,9 +36,13 @@ go test -race -timeout 300s -count=1 ./internal/joblog ./internal/admission
 # The GEMM kernels carry a bit-identity contract: blocked/fused
 # forward and backward must match the naive k-ascending reference
 # exactly, on odd shapes and across worker counts, with the race
-# detector watching the fan-out.
+# detector watching the fan-out. Dense.ApplyCols must match per-column
+# Apply calls bit for bit, and the retained-arena gauge must fall both on
+# trim and when a graph is collected (its finalizer runs on another
+# goroutine).
 go test -race -timeout 300s -count=1 \
-    -run 'TestGEMM|TestArenaTrimReleasesOneOffPeak' ./internal/nn
+    -run 'TestGEMM|TestApplyColsMatchesPerColumnApply|TestArenaTrimReleasesOneOffPeak|TestArenaRetainedFallsWhenGraphCollected' \
+    ./internal/nn
 go test -race -timeout 300s ./...
 
 echo "== parallel scaling gate =="
@@ -62,6 +66,11 @@ go test -run='^$' -bench=Rollout -benchtime=1x -timeout 120s ./internal/core
 # instrumented hot loops cost nothing when nobody is looking.
 go test -run='^$' -bench=Telemetry -benchtime=100x -timeout 120s ./internal/telemetry
 go test -timeout 120s -count=1 -run 'TestAppendZeroAlloc' ./internal/telemetry
+# What-if loop allocation gates: a steady-state advisor logits call on a
+# reused, Reset graph, and a plan-cache miss on an already-analysed
+# query, each held to the allocation count it makes today.
+go test -timeout 120s -count=1 -run 'TestLogitsAllocBudget' ./internal/advisor
+go test -timeout 120s -count=1 -run 'TestPlanMissAllocBudget' ./internal/engine
 
 echo "== fault-injection smoke =="
 # Drive the deterministic fault harness end to end: panic isolation,

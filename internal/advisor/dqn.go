@@ -54,6 +54,11 @@ func (d *dqnCore) train(ctx context.Context, e *engine.Engine, train []*workload
 		d.cm = cm
 	}
 	opt := nn.NewAdam(2e-3)
+	// One graph per loop, Reset every step: the arenas reach a steady
+	// state instead of being rebuilt per step.
+	actG := nn.NewGraph(false)
+	targetG := nn.NewGraph(false)
+	updateG := nn.NewGraph(true)
 	var buffer []transition
 	eps := d.epsilon
 	for ep := 0; ep < episodes; ep++ {
@@ -69,8 +74,8 @@ func (d *dqnCore) train(ctx context.Context, e *engine.Engine, train []*workload
 			if d.rng.Float64() < eps {
 				act = randomValid(mask, d.rng)
 			} else {
-				g := nn.NewGraph(false)
-				act = argmaxMasked(d.q.logits(g, state, env.feats), mask)
+				actG.Reset()
+				act = argmaxMasked(d.q.logits(actG, state, env.feats), mask)
 			}
 			if act < 0 {
 				break
@@ -90,28 +95,8 @@ func (d *dqnCore) train(ctx context.Context, e *engine.Engine, train []*workload
 				break
 			}
 		}
-		// Replay updates.
 		if len(buffer) >= 8 {
-			g := nn.NewGraph(true)
-			for k := 0; k < 8; k++ {
-				tr := buffer[d.rng.Intn(len(buffer))]
-				target := tr.reward
-				if !tr.done {
-					gi := nn.NewGraph(false)
-					nq := d.q.logits(gi, tr.next, tr.feats)
-					na := argmaxMasked(nq, tr.nextMask)
-					if na >= 0 {
-						target += d.gamma * nq.W[na]
-					}
-				}
-				logits := d.q.logits(g, tr.state, tr.feats)
-				// MSE on the chosen action's Q value.
-				diff := logits.W[tr.action] - target
-				logits.G[tr.action] += diff
-			}
-			g.Backward()
-			d.q.params.ClipGrads(5)
-			opt.Step(d.q.params)
+			d.replay(updateG, targetG, buffer, opt)
 		}
 		if eps > 0.05 {
 			eps *= 0.98
@@ -120,14 +105,42 @@ func (d *dqnCore) train(ctx context.Context, e *engine.Engine, train []*workload
 	return nil
 }
 
+// replay runs one replay update of 8 sampled transitions on the
+// recording graph g, scoring bootstrap targets on the inference graph
+// gt; it Resets both before use.
+func (d *dqnCore) replay(g, gt *nn.Graph, buffer []transition, opt *nn.Adam) {
+	g.Reset()
+	for k := 0; k < 8; k++ {
+		tr := buffer[d.rng.Intn(len(buffer))]
+		target := tr.reward
+		if !tr.done {
+			gt.Reset()
+			nq := d.q.logits(gt, tr.next, tr.feats)
+			na := argmaxMasked(nq, tr.nextMask)
+			if na >= 0 {
+				target += d.gamma * nq.W[na]
+			}
+		}
+		logits := d.q.logits(g, tr.state, tr.feats)
+		// MSE on the chosen action's Q value.
+		diff := logits.W[tr.action] - target
+		logits.G[tr.action] += diff
+	}
+	g.Backward()
+	d.q.params.ClipGrads(5)
+	opt.Step(d.q.params)
+}
+
 // recommend runs a greedy Q rollout.
 func (d *dqnCore) recommend(e *engine.Engine, w *workload.Workload, c Constraint, seed int64) schema.Config {
 	d.ensure(seed)
 	env := newEnv(context.Background(), e, w, c, d.kind, d.opt, d.prune, seed, d.cm)
+	// Local, not a field: MeasureOn workers call Recommend concurrently.
+	g := nn.NewGraph(false)
 	for {
 		state := env.state()
 		mask := env.validMask()
-		g := nn.NewGraph(false)
+		g.Reset()
 		act := argmaxMasked(d.q.logits(g, state, env.feats), mask)
 		if act < 0 || act == len(env.cands) {
 			break

@@ -35,15 +35,35 @@ func newScoreNet(stateLen, hidden int, rng *rand.Rand) *scoreNet {
 }
 
 // logits scores every candidate plus the terminal stop action (last entry).
+// The candidates are scored as one batch: column j of the packed input is
+// [state; feats[j]], and each layer runs over all columns with one GEMM
+// (nn.Dense.ApplyCols, bit-identical to scoring the columns one by one).
+// The input is a graph-owned constant, so a reused, Reset graph scores
+// without growing its arena.
 func (n *scoreNet) logits(g *nn.Graph, state []float64, feats [][]float64) *nn.Tensor {
-	sv := nn.Vector(state...)
-	parts := make([]*nn.Tensor, 0, len(feats)+1)
-	for _, f := range feats {
-		in := nn.Vector(append(append([]float64(nil), state...), f...)...)
-		parts = append(parts, n.h2.Apply(g, g.Tanh(n.h1.Apply(g, in))))
+	s, c := len(state), len(feats)
+	x := g.Input(s+candFeatLen, c)
+	for p, v := range state {
+		row := x.W[p*c : p*c+c]
+		for j := range row {
+			row[j] = v
+		}
 	}
-	parts = append(parts, n.stop2.Apply(g, g.Tanh(n.stop1.Apply(g, sv))))
-	return g.Concat(parts...)
+	for j, f := range feats {
+		for p, v := range f {
+			x.W[(s+p)*c+j] = v
+		}
+	}
+	cands := n.h2.ApplyCols(g, g.Tanh(n.h1.ApplyCols(g, x)))
+	stop := n.stop2.ApplyCols(g, g.Tanh(n.stop1.ApplyCols(g, stateInput(g, state))))
+	return g.Concat(g.Reshape(cands, c, 1), stop)
+}
+
+// stateInput copies the state into a graph-owned constant column.
+func stateInput(g *nn.Graph, state []float64) *nn.Tensor {
+	x := g.Input(len(state), 1)
+	copy(x.W, state)
+	return x
 }
 
 // valueNet is a small state-value MLP (the PPO baseline).
@@ -62,7 +82,7 @@ func newValueNet(stateLen, hidden int, rng *rand.Rand) *valueNet {
 }
 
 func (n *valueNet) value(g *nn.Graph, state []float64) *nn.Tensor {
-	return n.h2.Apply(g, g.Tanh(n.h1.Apply(g, nn.Vector(state...))))
+	return n.h2.ApplyCols(g, g.Tanh(n.h1.ApplyCols(g, stateInput(g, state))))
 }
 
 // env is the index-selection episode environment shared by the RL

@@ -81,69 +81,80 @@ func (a *SWIRL) TrainCtx(ctx context.Context, e *engine.Engine, train []*workloa
 	a.cm = cm
 	popt := nn.NewAdam(3e-3)
 	vopt := nn.NewAdam(3e-3)
-	gamma := 0.95
+	// One graph per loop, Reset every step: the arenas reach a steady
+	// state instead of being rebuilt per step.
+	rollout := nn.NewGraph(false)
+	update := nn.NewGraph(true)
 	for ep := 0; ep < a.Episodes; ep++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		w := train[a.rng.Intn(len(train))]
 		env := newEnv(ctx, e, w, c, a.State, a.Opt, a.Pruning, a.Seed+int64(ep), a.cm)
-		type stepRec struct {
-			state  []float64
-			mask   []bool
-			action int
-			logp   float64
-			reward float64
-		}
-		var traj []stepRec
+		var traj []ppoStep
 		for {
 			state := env.state()
 			mask := env.validMask()
-			g := nn.NewGraph(false)
-			logits := a.policy.logits(g, state, env.feats)
+			rollout.Reset()
+			logits := a.policy.logits(rollout, state, env.feats)
 			act, logp := sampleMasked(logits, mask, a.rng)
 			r, done := env.step(act)
-			traj = append(traj, stepRec{state: state, mask: mask, action: act, logp: logp, reward: r})
+			traj = append(traj, ppoStep{state: state, mask: mask, action: act, logp: logp, reward: r})
 			if done || act == len(env.cands) {
 				break
 			}
 		}
-		// Discounted returns.
-		returns := make([]float64, len(traj))
-		run := 0.0
-		for i := len(traj) - 1; i >= 0; i-- {
-			run = traj[i].reward + gamma*run
-			returns[i] = run
-		}
-		// PPO epochs over the trajectory.
-		for epoch := 0; epoch < 2; epoch++ {
-			g := nn.NewGraph(true)
-			for i, st := range traj {
-				v := a.value.value(g, st.state)
-				adv := returns[i] - v.W[0]
-				logits := a.policy.logits(g, st.state, env.feats)
-				probs := maskedProbs(logits, st.mask)
-				ratio := expSafe(logProb(probs, st.action) - st.logp)
-				// Clipped surrogate: only propagate the policy gradient
-				// when the ratio is inside the trust region (or moving
-				// back toward it).
-				weight := -adv
-				if (adv > 0 && ratio > 1+ppoClip) || (adv < 0 && ratio < 1-ppoClip) {
-					weight = 0
-				}
-				if weight != 0 {
-					maskedCrossEntropy(logits, st.mask, st.action, weight)
-				}
-				nn.MSELoss(v, returns[i])
-			}
-			g.Backward()
-			a.policy.params.ClipGrads(5)
-			a.value.params.ClipGrads(5)
-			popt.Step(a.policy.params)
-			vopt.Step(a.value.params)
-		}
+		a.ppoUpdate(update, traj, env.feats, popt, vopt)
 	}
 	return nil
+}
+
+// ppoStep is one recorded rollout step.
+type ppoStep struct {
+	state  []float64
+	mask   []bool
+	action int
+	logp   float64
+	reward float64
+}
+
+// ppoUpdate runs the PPO epochs over one trajectory on the recording
+// graph g, which it Resets before each epoch.
+func (a *SWIRL) ppoUpdate(g *nn.Graph, traj []ppoStep, feats [][]float64, popt, vopt *nn.Adam) {
+	const gamma = 0.95
+	// Discounted returns.
+	returns := make([]float64, len(traj))
+	run := 0.0
+	for i := len(traj) - 1; i >= 0; i-- {
+		run = traj[i].reward + gamma*run
+		returns[i] = run
+	}
+	for epoch := 0; epoch < 2; epoch++ {
+		g.Reset()
+		for i, st := range traj {
+			v := a.value.value(g, st.state)
+			adv := returns[i] - v.W[0]
+			logits := a.policy.logits(g, st.state, feats)
+			probs := maskedProbs(logits, st.mask)
+			ratio := expSafe(logProb(probs, st.action) - st.logp)
+			// Clipped surrogate: only propagate the policy gradient
+			// when the ratio is inside the trust region (or moving
+			// back toward it).
+			weight := -adv
+			if (adv > 0 && ratio > 1+ppoClip) || (adv < 0 && ratio < 1-ppoClip) {
+				weight = 0
+			}
+			if weight != 0 {
+				maskedCrossEntropy(logits, st.mask, st.action, weight)
+			}
+			nn.MSELoss(v, returns[i])
+		}
+		g.Backward()
+		a.policy.params.ClipGrads(5)
+		a.value.params.ClipGrads(5)
+		popt.Step(a.policy.params)
+		vopt.Step(a.value.params)
+	}
 }
 
 // Recommend implements Advisor with a greedy rollout of the trained
@@ -152,10 +163,12 @@ func (a *SWIRL) TrainCtx(ctx context.Context, e *engine.Engine, train []*workloa
 func (a *SWIRL) Recommend(e *engine.Engine, w *workload.Workload, c Constraint) (schema.Config, error) {
 	a.ensureNets()
 	env := newEnv(context.Background(), e, w, c, a.State, a.Opt, a.Pruning, a.Seed, a.cm)
+	// Local, not a field: MeasureOn workers call Recommend concurrently.
+	g := nn.NewGraph(false)
 	for {
 		state := env.state()
 		mask := env.validMask()
-		g := nn.NewGraph(false)
+		g.Reset()
 		logits := a.policy.logits(g, state, env.feats)
 		act := argmaxMasked(logits, mask)
 		if act < 0 || act == len(env.cands) {

@@ -172,12 +172,12 @@ var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
 // the canonical query text and, per table the query references (in the
 // query's stable table order), the sorted identities of the indexes cfg
 // holds on that table. Indexes on tables the query never touches cannot
-// affect its plan — plan() consults cfg only through cfg.OnTable for
-// the query's tables — so they are excluded: configurations that differ
-// only in irrelevant indexes share one cache entry instead of each
-// missing, which is what lets the advisor's what-if loop (which probes
-// hundreds of configurations against the same queries) run mostly on
-// cache hits.
+// affect its plan — plan() reads only the indexes cfg holds on the
+// query's tables (scanPaths and bestJoin skip the rest) — so they are
+// excluded: configurations that differ only in irrelevant indexes share
+// one cache entry instead of each missing, which is what lets the
+// advisor's what-if loop (which probes hundreds of configurations
+// against the same queries) run mostly on cache hits.
 // It also returns the key's shard hash, continued from the memoized
 // hash of the query text so only the short mode/config suffix is
 // re-hashed per call.
@@ -390,6 +390,9 @@ type queryAnalysis struct {
 	columns   []sqlx.ColumnRef
 	statics   map[string]*tableStatic
 	topGroups []predGroup // groups spanning several tables
+	// validErr is q.Validate()'s result, so plan misses do not re-check
+	// (and rebuild Query.Columns for) the same query.
+	validErr error
 	// textHash is the FNV-1a hash of the canonical query text, the seed
 	// for plan-key shard hashing (so lookups only hash the short suffix).
 	textHash uint64
@@ -402,7 +405,7 @@ func analysisOf(q *sqlx.Query) *queryAnalysis {
 	if qa, ok := q.PlanInfo().(*queryAnalysis); ok {
 		return qa
 	}
-	qa := &queryAnalysis{tables: q.Tables(), columns: q.Columns(), textHash: fnv1aString(q.String())}
+	qa := &queryAnalysis{tables: q.Tables(), columns: q.Columns(), validErr: q.Validate(), textHash: fnv1aString(q.String())}
 	qa.statics = make(map[string]*tableStatic, len(qa.tables))
 	for _, t := range qa.tables {
 		qa.statics[t] = &tableStatic{reqCols: map[string]bool{}, joinCols: map[string]bool{}}
@@ -446,10 +449,10 @@ type tableInfo struct {
 
 // plan builds the cheapest plan without consulting the cache.
 func (e *Engine) plan(q *sqlx.Query, cfg schema.Config, mode Mode) (*PlanNode, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
 	qa := analysisOf(q)
+	if qa.validErr != nil {
+		return nil, qa.validErr
+	}
 	tables := qa.tables
 	if len(tables) > 14 {
 		return nil, fmt.Errorf("engine: too many tables (%d)", len(tables))
@@ -536,7 +539,10 @@ func (e *Engine) scanPaths(q *sqlx.Query, table string, info *tableInfo, cfg sch
 	}
 
 	var bestOrdered *accessPath
-	for _, ix := range cfg.OnTable(table) {
+	for _, ix := range cfg {
+		if ix.Table != table {
+			continue
+		}
 		path := e.indexPath(q, t, ix, info, sel, outRows, mode)
 		if path == nil {
 			continue
@@ -848,8 +854,9 @@ func (e *Engine) bestJoin(q *sqlx.Query, tables []string, infos map[string]*tabl
 		if joinCol == "" {
 			continue
 		}
-		for _, ix := range cfg.OnTable(innerTable) {
-			if ix.Columns[0] != joinCol {
+		for i := range cfg {
+			ix := &cfg[i]
+			if ix.Table != innerTable || ix.Columns[0] != joinCol {
 				continue
 			}
 			t := e.schema.Table(innerTable)
@@ -864,8 +871,11 @@ func (e *Engine) bestJoin(q *sqlx.Query, tables []string, infos map[string]*tabl
 				matchRows*float64(infos[innerTable].predOps)*cpuOpCost
 			nlCost := outer.Cost + outer.Rows*lookup + outRows*cpuTupleCost
 			if nlCost < best.Cost {
+				// Copy the index only when it wins: the published plan
+				// must not alias the caller's cfg.
+				chosen := *ix
 				inner := &PlanNode{
-					Type: IndexScan, Table: innerTable, Index: &ix,
+					Type: IndexScan, Table: innerTable, Index: &chosen,
 					Cost: lookup, Rows: matchRows * infos[innerTable].sel, Height: 1,
 				}
 				if inner.Rows < 1 {

@@ -212,3 +212,88 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// TestInvalidQueryErrorMemoized: validation runs once per query memo, so
+// an invalid query fails every Plan call with the same error and never
+// leaves a cache entry behind.
+func TestInvalidQueryErrorMemoized(t *testing.T) {
+	e := New(testSchema())
+	q := &sqlx.Query{
+		Select: []sqlx.SelectItem{{Col: sqlx.ColumnRef{Table: "customers", Column: "region"}}},
+		From:   []sqlx.TableRef{{Name: "orders"}},
+	}
+	_, first := e.Plan(q, nil, ModeEstimated)
+	if first == nil || !strings.Contains(first.Error(), "not in FROM") {
+		t.Fatalf("Plan of a column outside FROM: err %v, want a not-in-FROM error", first)
+	}
+	for i := 0; i < 3; i++ {
+		for _, mode := range []Mode{ModeEstimated, ModeTrue} {
+			if _, err := e.Plan(q, nil, mode); err != first {
+				t.Fatalf("call %d: err %v, want the memoized %v", i, err, first)
+			}
+		}
+	}
+	if n := e.CacheStats().Entries; n != 0 {
+		t.Fatalf("invalid query left %d cache entries", n)
+	}
+}
+
+// TestInvalidateRevalidates: mutating a costed query into an invalid one
+// and calling Invalidate drops the memoized validation with the rest of
+// the analysis, so the next plan fails.
+func TestInvalidateRevalidates(t *testing.T) {
+	e := New(testSchema())
+	q := sqlx.MustParse("SELECT orders.total FROM orders WHERE orders.status = 3")
+	if _, err := e.Plan(q, nil, ModeEstimated); err != nil {
+		t.Fatal(err)
+	}
+	q.Filters[0].Col = sqlx.ColumnRef{Table: "items", Column: "price"}
+	q.Invalidate()
+	if _, err := e.Plan(q, nil, ModeEstimated); err == nil || !strings.Contains(err.Error(), "not in FROM") {
+		t.Fatalf("Plan after mutation + Invalidate: err %v, want a not-in-FROM error", err)
+	}
+}
+
+// TestPlanMissAllocBudget gates the allocations of a plan-cache miss on
+// an already-analysed query (validation memoized, no per-table config
+// copies, the nested-loop index copied only when it wins). Allocation
+// counts are deterministic; lower the budget when a change beats it.
+// The calls go through planCached with a test-owned key buffer, the path
+// Plan takes after borrowing one from keyBufPool: under -race sync.Pool
+// drops items at random, which would make the count vary.
+func TestPlanMissAllocBudget(t *testing.T) {
+	const budget = 22
+	e := New(testSchema())
+	q := sqlx.MustParse("SELECT orders.total, customers.region FROM orders, customers WHERE orders.cust_id = customers.id AND orders.status = 3 AND customers.segment = 2")
+	if _, err := e.Plan(q, nil, ModeEstimated); err != nil {
+		t.Fatal(err)
+	}
+	// Every call plans a configuration not seen before, so each misses.
+	cols := []string{"id", "cust_id", "item_id", "status", "total", "odate"}
+	var cfgs []schema.Config
+	for _, a := range cols {
+		for _, b := range cols {
+			if a != b {
+				cfgs = append(cfgs, schema.Config{
+					{Table: "customers", Columns: []string{"id"}},
+					{Table: "orders", Columns: []string{a, b}},
+				})
+			}
+		}
+	}
+	missesBefore := e.CacheStats().Misses
+	kb := new(keyBuf)
+	i := 0
+	allocs := testing.AllocsPerRun(len(cfgs)-1, func() {
+		if _, err := e.planCached(kb, q, cfgs[i], ModeEstimated); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if misses := e.CacheStats().Misses - missesBefore; misses != uint64(len(cfgs)) {
+		t.Fatalf("%d of %d plans missed the cache", misses, len(cfgs))
+	}
+	if allocs > budget {
+		t.Fatalf("a plan-cache miss made %v allocations, budget %d", allocs, budget)
+	}
+}

@@ -1,6 +1,9 @@
 package nn
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // Arena counters, aggregated across every graph (exposed as gauges by
 // internal/core so /metrics shows steady-state reuse and the retained
@@ -20,8 +23,17 @@ func ArenaStats() (hits, misses int64) {
 
 // ArenaRetainedBytes reports the total heap currently pinned by arena
 // blocks across all live graphs — the gauge the Reset trim policy keeps
-// bounded near each graph's recent working set.
+// bounded near each graph's recent working set. A collected graph's
+// blocks leave the gauge when its arenaShare is finalized.
 func ArenaRetainedBytes() int64 { return arenaRetained.Load() }
+
+// arenaShare is one arena's part of the arenaRetained gauge, kept in its
+// own small allocation that only the arena references: once the graph
+// owning the arena is collected, the share's finalizer takes the part
+// back out of the gauge.
+type arenaShare struct{ bytes atomic.Int64 }
+
+func releaseShare(s *arenaShare) { arenaRetained.Add(-s.bytes.Load()) }
 
 const (
 	// arenaMinBlock/arenaMaxBlock bound the geometric block growth
@@ -46,6 +58,17 @@ type arena struct {
 	used   int // floats handed out since the last reset
 	peak   int // max used across the current trim window
 	resets int // resets since the last trim check
+	share  *arenaShare
+}
+
+// retain adds delta bytes to the arena's share of the retained gauge.
+func (a *arena) retain(delta int64) {
+	if a.share == nil {
+		a.share = new(arenaShare)
+		runtime.SetFinalizer(a.share, releaseShare)
+	}
+	a.share.bytes.Add(delta)
+	arenaRetained.Add(delta)
 }
 
 // take returns a zeroed slice of n floats carved from the arena.
@@ -89,7 +112,7 @@ func (a *arena) takeRaw(n int) []float64 {
 		sz = n
 	}
 	a.blocks = append(a.blocks, make([]float64, sz))
-	arenaRetained.Add(int64(sz) * 8)
+	a.retain(int64(sz) * 8)
 	arenaMisses.Add(1)
 	a.bi = len(a.blocks) - 1
 	s := a.blocks[a.bi][0:n:n]
@@ -130,7 +153,7 @@ func (a *arena) reset() {
 		cut = 0
 	}
 	for _, b := range a.blocks[cut:] {
-		arenaRetained.Add(-int64(len(b)) * 8)
+		a.retain(-int64(len(b)) * 8)
 	}
 	a.blocks = a.blocks[:cut:cut]
 	a.peak = 0
@@ -188,6 +211,30 @@ func (g *Graph) allocOut(r, c int) *Tensor {
 		t.G = nil
 	}
 	return t
+}
+
+// Input returns an r×c constant operand carved raw from the arena for
+// the caller to fill, valid until the next Reset. It carries no
+// gradient buffer even on a recording graph, so on one it may only feed
+// ops that accept a nil-G input (ApplyCols).
+func (g *Graph) Input(r, c int) *Tensor {
+	t := g.hdr()
+	t.R, t.C = r, c
+	t.W = g.ar.takeRaw(r * c)
+	t.G = nil
+	return t
+}
+
+// Reshape returns an r×c view of t sharing its value (and gradient)
+// storage in row-major order: like Lookup it costs one tensor header,
+// no copy and no backward closure.
+func (g *Graph) Reshape(t *Tensor, r, c int) *Tensor {
+	if r*c != len(t.W) {
+		panic("nn: Reshape size mismatch")
+	}
+	v := g.hdr()
+	v.R, v.C, v.W, v.G = r, c, t.W, t.G
+	return v
 }
 
 // floats returns a zeroed scratch slice of length n from the arena,

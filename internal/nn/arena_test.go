@@ -3,7 +3,9 @@ package nn
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestArenaReuseAfterReset proves the free-list contract: after Reset,
@@ -184,4 +186,23 @@ func TestAttendScratchValidUntilReset(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Fatalf("Attend weights were not recycled after Reset")
 	}
+}
+
+// TestArenaRetainedFallsWhenGraphCollected pins the gauge's other exit:
+// blocks held by a graph that is dropped without a trim leave
+// ArenaRetainedBytes once the graph is collected.
+func TestArenaRetainedFallsWhenGraphCollected(t *testing.T) {
+	const big = 1 << 20 // 8 MiB of float64
+	g := NewGraph(false)
+	g.floats(big)
+	held := ArenaRetainedBytes()
+	g = nil
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		if ArenaRetainedBytes() <= held-big*8 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("arena retained %d bytes after the graph holding %d of %d was collected", ArenaRetainedBytes(), big*8, held)
 }

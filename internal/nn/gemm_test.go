@@ -2,6 +2,7 @@ package nn
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -202,5 +203,111 @@ func TestArenaTrimReleasesOneOffPeak(t *testing.T) {
 	after := ArenaRetainedBytes()
 	if after > spike-big*8/2 {
 		t.Fatalf("arena retained %d bytes after trim window; spike was %d — one-off batch still pinned", after, spike)
+	}
+}
+
+// TestApplyColsMatchesPerColumnApply pins ApplyCols' accumulation
+// contract: one batched call over C columns must reproduce, bit for bit,
+// C per-column Apply calls made in ascending order on one tape — the
+// forward values and every W.G, B.G and x.G element, starting from
+// non-zero gradients so the accumulation order shows. Upstream
+// gradients include all-zero columns and a −0 entry, and the starting
+// gradients a −0 weight and input entry, which exercise the zero-skips.
+func TestApplyColsMatchesPerColumnApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []int{1, 3, 5} {
+		for _, k := range []int{1, 7, 33} {
+			for _, c := range []int{1, 2, 9} {
+				checkApplyCols(t, rng, m, k, c)
+			}
+		}
+	}
+}
+
+func checkApplyCols(t *testing.T, rng *rand.Rand, m, k, c int) {
+	t.Helper()
+	d := NewDense(&Params{}, "d", k, m, rng)
+	copy(d.B.W, randFloats(rng, m))
+	wG0, bG0 := randFloats(rng, m*k), randFloats(rng, m)
+	x := randFloats(rng, k*c)
+	xG0 := randFloats(rng, k*c)
+	up := randFloats(rng, m*c) // upstream gradient, m×c
+	for i := 0; i < m; i++ {
+		up[i*c] = 0 // column 0 receives no gradient
+		if c > 2 {
+			up[i*c+c-1] = 0 // nor does the last column
+		}
+	}
+	if c > 1 {
+		up[1] = math.Copysign(0, -1)
+	}
+	// −0 accumulators: adding a skipped +0 product would flip them to +0.
+	wG0[0] = math.Copysign(0, -1)
+	xG0[0] = math.Copysign(0, -1)
+	bits := func(what string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("m=%d k=%d C=%d: %s differs: got %v (%#x) want %v (%#x)",
+				m, k, c, what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+
+	// Reference: C per-column Apply calls, ascending, on one tape.
+	copy(d.W.G, wG0)
+	copy(d.B.G, bG0)
+	g := NewGraph(true)
+	cols := make([]*Tensor, c)
+	outs := make([]*Tensor, c)
+	for j := range cols {
+		cols[j] = NewTensor(k, 1)
+		for p := 0; p < k; p++ {
+			cols[j].W[p] = x[p*c+j]
+			cols[j].G[p] = xG0[p*c+j]
+		}
+		outs[j] = d.Apply(g, cols[j])
+		for i := 0; i < m; i++ {
+			outs[j].G[i] = up[i*c+j]
+		}
+	}
+	g.Backward()
+	wantW := append([]float64(nil), d.W.G...)
+	wantB := append([]float64(nil), d.B.G...)
+
+	// Batched, once with a gradient-carrying input and once with a
+	// constant Input, which must leave the parameter gradients alike.
+	for _, constant := range []bool{false, true} {
+		copy(d.W.G, wG0)
+		copy(d.B.G, bG0)
+		g := NewGraph(true)
+		var xt *Tensor
+		if constant {
+			xt = g.Input(k, c)
+		} else {
+			xt = NewTensor(k, c)
+			copy(xt.G, xG0)
+		}
+		copy(xt.W, x)
+		out := d.ApplyCols(g, xt)
+		copy(out.G, up)
+		g.Backward()
+		for i := 0; i < m; i++ {
+			for j := 0; j < c; j++ {
+				bits("forward", out.W[i*c+j], outs[j].W[i])
+			}
+		}
+		for i := range wantW {
+			bits("W.G", d.W.G[i], wantW[i])
+		}
+		for i := range wantB {
+			bits("B.G", d.B.G[i], wantB[i])
+		}
+		if constant {
+			continue
+		}
+		for p := 0; p < k; p++ {
+			for j := 0; j < c; j++ {
+				bits("x.G", xt.G[p*c+j], cols[j].G[p])
+			}
+		}
 	}
 }

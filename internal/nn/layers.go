@@ -117,6 +117,68 @@ func (d *Dense) Apply(g *Graph, x *Tensor) *Tensor {
 	return g.Add(g.Mul(d.W, x), d.B)
 }
 
+// ApplyCols computes W·x_j + b for every column x_j of the k×C matrix x
+// with one GEMM and returns the m×C matrix of results. Values and every
+// gradient bit equal C Apply calls made on the columns in ascending
+// order: the forward pass is mulTo's k-ascending sums plus the bias, and
+// the backward pass visits the columns in descending order (the order a
+// tape replays those calls), adding each column's contribution to W.G,
+// B.G and x.G separately with addOuter's and Mul's zero-skips. One
+// addMulNT over all columns would sum each weight gradient in another
+// order and change its rounding. x may be a constant Input (nil G), in
+// which case no input gradient is computed.
+func (d *Dense) ApplyCols(g *Graph, x *Tensor) *Tensor {
+	m, k, n := d.W.R, d.W.C, x.C
+	if x.R != k {
+		panic("nn: ApplyCols shape mismatch")
+	}
+	out := g.allocOut(m, n)
+	mulTo(out.W, d.W.W, x.W, m, k, n)
+	for i, bv := range d.B.W {
+		row := out.W[i*n : i*n+n]
+		for j := range row {
+			row[j] += bv
+		}
+	}
+	if !g.NeedsGrad {
+		return out
+	}
+	// Per-column gather scratch, so each column runs through the same
+	// contiguous kernels a per-column Mul uses.
+	dcol := g.floatsRaw(m)
+	xcol := g.floatsRaw(k)
+	var gxcol []float64
+	if x.G != nil {
+		gxcol = g.floatsRaw(k)
+	}
+	g.addBack(func() {
+		for j := n - 1; j >= 0; j-- {
+			for i := range dcol {
+				dcol[i] = out.G[i*n+j]
+				d.B.G[i] += dcol[i]
+			}
+			if allZeroF(dcol) {
+				continue
+			}
+			for p := range xcol {
+				xcol[p] = x.W[p*n+j]
+			}
+			addOuter(d.W.G, dcol, xcol)
+			if gxcol == nil {
+				continue
+			}
+			for p := range gxcol {
+				gxcol[p] = x.G[p*n+j]
+			}
+			addMulTvec(gxcol, d.W.W, dcol, m, k)
+			for p, v := range gxcol {
+				x.G[p*n+j] = v
+			}
+		}
+	})
+	return out
+}
+
 // Embedding maps token ids to dense vectors.
 type Embedding struct {
 	Table *Tensor // vocab × dim

@@ -395,16 +395,5 @@ func (c Config) Key() string {
 	return strings.Join(keys, ";")
 }
 
-// OnTable returns the subset of indexes on the given table.
-func (c Config) OnTable(table string) Config {
-	var out Config
-	for _, ix := range c {
-		if ix.Table == table {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
 // Clone returns a copy of the configuration.
 func (c Config) Clone() Config { return append(Config(nil), c...) }

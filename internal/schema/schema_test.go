@@ -160,9 +160,6 @@ func TestConfigOps(t *testing.T) {
 	if cfg.SizeBytes(s) <= cfg2.SizeBytes(s) {
 		t.Error("removing an index should shrink size")
 	}
-	if len(cfg.OnTable("orders")) != 2 {
-		t.Error("OnTable failed")
-	}
 	// Key is order independent.
 	rev := Config{c, b, a}
 	if rev.Key() != cfg.Key() {
